@@ -35,10 +35,12 @@ class Algebra:
     basis_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        validate_prime(self.p)
+        p, d = validate_prime(self.p), int(self.dim)
+        # `multiply` sums dim**2 triple products of entries below p in int64.
+        if d * d * (p - 1) ** 3 >= 2**63:
+            raise ValueError(f"modulus {p} too large for dimension {d}: needs dim**2 * (p - 1)**3 < 2**63")
         mul = np.asarray(self.mul, dtype=np.int64) % self.p
         one = as_vector(self.one, self.p)
-        d = self.dim
         if mul.shape != (d, d, d):
             raise ValueError(f"structure constants must have shape ({d},{d},{d})")
         if one.shape != (d,):

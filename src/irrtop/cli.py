@@ -37,6 +37,7 @@ from .meataxe import (
 )
 from .modules import annihilator, direct_sum, regular_module
 from .pointclosure import (
+    FINITE_POINT_CAP,
     FiniteSpace,
     TopologyError,
     all_topologies,
@@ -51,6 +52,7 @@ from .pointclosure import (
 )
 from .presets import gallery, upper_triangular
 from .topology import (
+    CLOSURE_POINT_CAP,
     enumerate_irr,
     refined_closure,
     vanishing_set,
@@ -310,6 +312,8 @@ def _cmd_point_closure(args) -> Doc:
     if problems:
         raise DomainError("invalid algebra: " + "; ".join(problems))
     space = enumerate_irr(a, args.seed)
+    if len(space.points) > FINITE_POINT_CAP:
+        raise TopologyError(f"finite point closure capped at {FINITE_POINT_CAP} points")
     zar = zariski_closed_family(space)
     fin = FiniteSpace.make([pt.id for pt in space.points], [z.point_ids for z in zar])
     fam = point_closure(fin)
@@ -327,8 +331,8 @@ def _cmd_compare(args) -> Doc:
     a = _load_algebra(args.infile)
     space = enumerate_irr(a, args.seed)
     npts = len(space.points)
-    if npts > 8:
-        raise DomainError("compare enumerates subsets; capped at 8 points")
+    if npts > CLOSURE_POINT_CAP:
+        raise DomainError(f"compare enumerates subsets; capped at {CLOSURE_POINT_CAP} points")
     zar = {z.point_ids for z in zariski_closed_family(space)}
     fin = FiniteSpace.make([pt.id for pt in space.points], zar)
     pc = point_closure(fin).point_sets()
@@ -840,8 +844,11 @@ def run(argv: list[str]) -> tuple[int, str]:
     if args.command == "selftest" and result.get("failed") not in (None, 0, "0"):
         code = 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            return 1, f"error: cannot write {args.out}: {e.strerror or e}\n"
         return code, ""
     return code, text
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import is_prime
+from .linalg import PRIME_BOUND, is_prime
 from .modules import ModuleRep, regular_module, spin, sub_quotient
 from .presets import preset
 
@@ -296,6 +296,9 @@ def parse_algebra(text: str) -> tuple[AlgebraDoc | None, list[Diagnostic]]:
             vals = _ints(rest)
             if not vals or len(vals) != 1:
                 diags.append(Diagnostic(ln, col, "p expects one integer"))
+                continue
+            if vals[0] >= PRIME_BOUND:
+                diags.append(Diagnostic(ln, col, f"modulus {vals[0]} is not below the int64-safe bound {PRIME_BOUND}"))
                 continue
             if not is_prime(vals[0]):
                 diags.append(Diagnostic(ln, col, f"modulus {vals[0]} is not prime"))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "PRIME_BOUND",
     "is_prime",
     "validate_prime",
     "as_matrix",
@@ -23,6 +24,12 @@ __all__ = [
     "projective_vectors",
     "Subspace",
 ]
+
+
+# Moduli must lie below this bound. Entries lie in [0, p), so an rref update
+# or a product of two entries stays below (p - 1)**2 < 2**40, and a matrix
+# product with inner dimension below 2**23 stays below 2**63 in int64.
+PRIME_BOUND = 2**20
 
 
 def is_prime(p: int) -> bool:
@@ -37,7 +44,11 @@ def is_prime(p: int) -> bool:
 
 
 def validate_prime(p: int) -> int:
-    if not isinstance(p, (int, np.integer)) or not is_prime(int(p)):
+    if not isinstance(p, (int, np.integer)):
+        raise ValueError(f"modulus must be a prime integer, got {p!r}")
+    if p >= PRIME_BOUND:
+        raise ValueError(f"modulus {p} is not below the int64-safe bound {PRIME_BOUND}")
+    if not is_prime(int(p)):
         raise ValueError(f"modulus must be a prime integer, got {p!r}")
     return int(p)
 

@@ -22,6 +22,7 @@ __all__ = [
     "TopologyError",
     "FiniteSpace",
     "SymbolicSpace",
+    "lattice_problems",
     "ClosedPair",
     "make_pair",
     "pair_point_set",
@@ -69,20 +70,64 @@ class FiniteSpace:
             problems.append("closed family misses the empty set")
         if pts not in self.closed:
             problems.append("closed family misses the whole space")
-        for s in self.closed:
-            if not s <= pts:
-                problems.append("closed set contains unknown points")
-                break
-        fam = self.closed
-        for x in fam:
-            for y in fam:
-                if x | y not in fam:
-                    problems.append("closed family not stable under union")
-                if x & y not in fam:
-                    problems.append("closed family not stable under intersection")
-                if len(problems) > 4:
-                    return problems
+        if any(not s <= pts for s in self.closed):
+            # Already rejected; bitmasks cannot name the unknown points.
+            problems.append("closed set contains unknown points")
+            return problems
+        problems += lattice_problems(self._masks(), len(self.points), limit=5 - len(problems))
         return problems
+
+    def _masks(self) -> set[int]:
+        """Each closed set as a bitmask over the indices of self.points."""
+        bit = {pt: 1 << k for k, pt in enumerate(self.points)}
+        return {sum(bit[pt] for pt in s) for s in self.closed}
+
+
+def _generators(masks, n: int) -> tuple[list, list]:
+    """Birkhoff's generators of a family of bitmask sets over n points:
+    g[i] is the meet of the members containing i, m[i] the join of the
+    members omitting i, and None where no member qualifies."""
+    g = [None] * n
+    m = [None] * n
+    for x in masks:
+        for i in range(n):
+            if x >> i & 1:
+                g[i] = x if g[i] is None else g[i] & x
+            else:
+                m[i] = x if m[i] is None else m[i] | x
+    return g, m
+
+
+def lattice_problems(masks, n: int, limit: int = 5) -> list[str]:
+    """Up to `limit` reasons why a family of bitmask sets over n points is
+    not stable under union and intersection; empty exactly when it is.
+
+    The test is Birkhoff's, in O(|F| n) set operations rather than |F|^2:
+    every g[i] and m[i] (see `_generators`) is a member, and so are x | g[i]
+    and x & m[i] for every member x. That suffices because each member y is
+    the union of g[i] over i in y and, unless y holds every point, the
+    intersection of m[i] over i not in y, so x | y and x & y are reached one
+    generator at a time.
+    """
+    union, meet = "closed family not stable under union", "closed family not stable under intersection"
+    g, m = _generators(masks, n)
+    problems = []
+    for i in range(n):
+        if g[i] is not None and g[i] not in masks:
+            problems.append(meet)
+        if m[i] is not None and m[i] not in masks:
+            problems.append(union)
+    for x in masks:
+        if len(problems) >= limit:
+            break
+        for i in range(n):
+            # x | g[i] = x when i is in x, and x & m[i] = x when it is not.
+            if x >> i & 1:
+                if m[i] is not None and x & m[i] not in masks:
+                    problems.append(meet)
+            elif g[i] is not None and x | g[i] not in masks:
+                problems.append(union)
+    return problems[:limit]
 
 
 @dataclass(frozen=True)
@@ -269,19 +314,28 @@ def point_closure(space) -> PointClosureFamily:
             raise TopologyError("; ".join(problems))
         if len(space.points) > FINITE_POINT_CAP:
             raise TopologyError(f"finite point closure capped at {FINITE_POINT_CAP} points")
+        pts = space.points
+        n = len(pts)
+        masks = space._masks()
+        g, _ = _generators(masks, n)
+
+        def as_set(mask: int) -> frozenset:
+            return frozenset(pts[i] for i in range(n) if mask >> i & 1)
+
         pairs = []
-        pts = list(space.points)
-        for mask in range(2 ** len(pts)):
-            s = frozenset(pts[i] for i in range(len(pts)) if mask >> i & 1)
-            cmax = frozenset()
-            for d in space.closed:
-                if d <= s:
-                    cmax = cmax | d
-            if cmax not in space.closed:
+        for s in range(1 << n):
+            # The largest closed set inside s is the union of the g[i] inside s.
+            cmax = 0
+            for i in range(n):
+                if s >> i & 1 and not g[i] & ~s:
+                    cmax |= g[i]
+            if cmax not in masks:
                 raise TopologyError("closed family not stable under union")
-            pairs.append(ClosedPair(space, cmax, s - cmax))
+            pairs.append(ClosedPair(space, as_set(cmax), as_set(s & ~cmax)))
         pairs.sort(key=lambda q: (len(q.c) + len(q.f), sorted(q.c | q.f)))
         return PointClosureFamily(space, tuple(pairs), False)
+    if len(space.points) > FINITE_POINT_CAP:
+        raise TopologyError(f"symbolic point closure capped at {FINITE_POINT_CAP} named points")
     problems = space.validate()
     if problems:
         raise TopologyError("; ".join(problems))

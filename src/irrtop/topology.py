@@ -7,11 +7,13 @@ finite products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import Algebra, Ideal
 from .linalg import Subspace
 from .meataxe import composition_factors, group_factors, is_isomorphic_simple
 from .modules import ModuleRep, annihilator, direct_sum, regular_module
+from .pointclosure import lattice_problems
 
 __all__ = [
     "IrrPoint",
@@ -60,12 +62,64 @@ class IrrSpace:
             sub = sub.intersect(self.points[i].ann.subspace)
         return sub
 
+    @cached_property
+    def _lattice(self) -> "_MeetLattice":
+        """The Zariski lattice, built on first use and kept for the life of
+        this space."""
+        return _MeetLattice(self)
+
     def identify(self, simple: ModuleRep) -> int:
         """Point id of a certified-simple module, by isomorphism."""
         for pt in self.points:
             if pt.dim == simple.n and is_isomorphic_simple(pt.rep, simple) is not None:
                 return pt.id
         raise ValueError("simple module matches no enumerated class")
+
+
+def _mask(ids) -> int:
+    """Point set as a bitmask: bit i stands for point i."""
+    out = 0
+    for i in ids:
+        out |= 1 << i
+    return out
+
+
+def _ids(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class _MeetLattice:
+    """Every meet of point annihilators, memoized over point bitmasks.
+
+    meets[S] is the intersection of ann(i) over the points i in S, with
+    meets[0] the whole algebra; meets[S] = meets[S - {max S}] & ann(max S)
+    costs one intersection per nonempty S. A point i lies in the closure of
+    S exactly when meets[S] is inside ann(i), that is when meets[S | i] and
+    meets[S] have equal dimension, so closures need no further linear
+    algebra.
+    """
+
+    def __init__(self, space: IrrSpace):
+        n = len(space)
+        if n > ZARISKI_POINT_CAP:
+            raise ValueError(f"semiprimitive lattice capped at {ZARISKI_POINT_CAP} points")
+        self.n = n
+        meets = [Subspace.full(space.algebra.dim, space.algebra.p)]
+        for s in range(1, 1 << n):
+            top = s.bit_length() - 1
+            meets.append(meets[s ^ 1 << top].intersect(space.points[top].ann.subspace))
+        self.meets = meets
+        self.dims = [m.dim for m in meets]
+        self.closed = [s for s in range(1 << n) if self.closure(s) == s]
+
+    def closure(self, s: int) -> int:
+        """Bitmask of the Zariski closure V(meets[s]) of the point set s."""
+        dims, d = self.dims, self.dims[s]
+        out = s
+        for i in range(self.n):
+            if dims[s | 1 << i] == d:
+                out |= 1 << i
+        return out
 
 
 def enumerate_irr(a: Algebra, seed: int = 0) -> IrrSpace:
@@ -113,38 +167,17 @@ def vanishing_set(space: IrrSpace, ideal: Ideal) -> ZClosed:
 def semiprimitive_subspaces(space: IrrSpace) -> dict[Subspace, frozenset[int]]:
     """All meets of point annihilators (including the empty meet, the whole
     algebra), each mapped to its vanishing point set."""
-    if len(space) > ZARISKI_POINT_CAP:
-        raise ValueError(f"semiprimitive lattice capped at {ZARISKI_POINT_CAP} points")
-    found: dict[Subspace, frozenset[int]] = {}
-    full = Subspace.full(space.algebra.dim, space.algebra.p)
-    work = [full]
-    while work:
-        sub = work.pop()
-        if sub in found:
-            continue
-        ids = frozenset(pt.id for pt in space.points if pt.ann.subspace.contains_space(sub))
-        found[sub] = ids
-        for pt in space.points:
-            work.append(sub.intersect(pt.ann.subspace))
-    return found
+    lattice = space._lattice
+    return {lattice.meets[s]: _ids(s) for s in lattice.closed}
 
 
 def zariski_closed_family(space: IrrSpace) -> list[ZClosed]:
     """All Zariski closed sets, deduplicated; asserts the family is closed
     under union and intersection."""
-    lattice = semiprimitive_subspaces(space)
-    by_points: dict[frozenset[int], Subspace] = {}
-    for sub, ids in lattice.items():
-        prev = by_points.get(ids)
-        if prev is None or sub.contains_space(prev):
-            by_points[ids] = sub
-    family = [ZClosed(space, space.ann_meet(ids), ids) for ids in by_points]
+    family = [ZClosed(space, sub, ids) for sub, ids in semiprimitive_subspaces(space).items()]
     family.sort(key=lambda z: (len(z.point_ids), sorted(z.point_ids)))
-    sets = {z.point_ids for z in family}
-    for x in sets:
-        for y in sets:
-            if x | y not in sets or x & y not in sets:
-                raise AssertionError("Zariski closed family is not a lattice of sets")
+    if lattice_problems(frozenset(space._lattice.closed), len(space), limit=1):
+        raise AssertionError("Zariski closed family is not a lattice of sets")
     return family
 
 
@@ -189,21 +222,20 @@ def verify_closed_form(space: IrrSpace, ids, seed: int = 0) -> FormReport:
     closure = refined_closure(space, selection, seed)
     if closure != selection:
         return FormReport(space, selection, False, closure)
-    candidates = {vpts for vpts in semiprimitive_subspaces(space).values() if vpts <= selection}
     best: tuple | None = None
-    for vpts in candidates:
+    for sub, vpts in semiprimitive_subspaces(space).items():
+        if not vpts <= selection:
+            continue
         f = selection - vpts
         key = (len(f), sorted(f), sorted(space.all_ids() - vpts))
         if best is None or key < best[0]:
-            best = (key, vpts, f)
+            best = (key, sub, vpts, f)
     if best is None:
         return FormReport(space, selection, True, closure, found=False)
-    _, vpts, f = best
-    sub = space.ann_meet(vpts)
-    meet = Subspace.full(space.algebra.dim, space.algebra.p)
-    for pt in space.points:
-        if pt.ann.subspace.contains_space(sub):
-            meet = meet.intersect(pt.ann.subspace)
+    _, sub, vpts, f = best
+    # The meet over every point whose annihilator contains sub.
+    lattice = space._lattice
+    meet = lattice.meets[lattice.closure(_mask(vpts))]
     return FormReport(
         space,
         selection,

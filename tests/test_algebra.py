@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irrtop.algebra import Algebra, Ideal, ideal_generated, is_ideal, product_algebra, quotient_algebra, validate_algebra
-from irrtop.linalg import Subspace, all_vectors
+from irrtop.linalg import PRIME_BOUND, Subspace, all_vectors, is_prime
 from irrtop.modules import (
     ModuleRep,
     annihilator,
@@ -307,3 +307,26 @@ def test_product_algebra_shapes():
     a = product_algebra([matrix_algebra(2, 2), upper_triangular(2, 2)])
     assert a.dim == 7
     assert validate_algebra(a) == []
+
+
+def test_algebra_refuses_primes_that_overflow_the_product():
+    p = max(q for q in range(PRIME_BOUND - 64, PRIME_BOUND) if is_prime(q))
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        Algebra(p, 3, np.zeros((3, 3, 3), dtype=np.int64), [1, 0, 0])
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        commutative_split(2, 4294967311)
+
+
+def test_multiply_at_the_largest_accepted_prime_matches_python_integers():
+    # dim 2 accepts every prime below the bound: 4 * (p - 1)**3 < 2**63.
+    p = max(q for q in range(PRIME_BOUND - 64, PRIME_BOUND) if is_prime(q))
+    rng = np.random.default_rng(3)
+    mul = rng.integers(p - 3, p, size=(2, 2, 2))
+    a = Algebra(p, 2, mul, [1, 0])
+    for _ in range(10):
+        x, y = rng.integers(p - 3, p, size=2), rng.integers(p - 3, p, size=2)
+        want = [
+            sum(int(x[i]) * int(y[j]) * int(mul[i, j, k]) for i in range(2) for j in range(2)) % p
+            for k in range(2)
+        ]
+        assert a.multiply(x, y).tolist() == want

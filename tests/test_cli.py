@@ -99,6 +99,12 @@ def test_preset_and_explicit_are_exclusive():
     assert any("exclusive" in d.message for d in diags)
 
 
+def test_modulus_above_the_int64_bound_rejected():
+    doc, diags = parse_algebra("p: 4294967311\ndim: 1\none: 1\nmul: 0 0 0 1\n")
+    assert doc is None
+    assert any("1048576" in d.message and d.line == 1 for d in diags)
+
+
 def test_nonprime_modulus_rejected():
     doc, diags = parse_algebra("p: 6\ndim: 1\none: 1\n")
     assert doc is None
@@ -263,6 +269,28 @@ def test_cli_exit_codes(tmp_path):
     broken = _write(tmp_path, "broken.alg", "p: 2\ndim: 1\none: 0\nmul: 0 0 0 1\n")
     code, out = run(["irr", "--in", broken])
     assert code == 1
+
+
+def test_cli_point_closure_refuses_13_classes(tmp_path):
+    alg = _write(tmp_path, "cs13.alg", "preset: commutative_split(13, 2)\n")
+    code, out = run(["point-closure", "--in", alg, "--format", "structured"])
+    assert code == 1 and out.startswith("error:") and out.count("\n") == 1
+    assert "12 points" in out
+
+
+def test_cli_symbolic_point_closure_refuses_above_cap(tmp_path):
+    code, wm = run(["weyl-model", "--points", "13", "--format", "structured"])
+    assert code == 0
+    rep = _write(tmp_path, "wm13.txt", wm)
+    code, out = run(["point-closure", "--in", rep, "--format", "structured"])
+    assert code == 1 and out.startswith("error:") and out.count("\n") == 1
+
+
+def test_cli_unwritable_output_file(tmp_path):
+    alg = _write(tmp_path, "ut2.alg", UT2_PRESET)
+    target = str(tmp_path / "missing" / "dir" / "report.txt")
+    code, out = run(["irr", "--in", alg, "--out", target, "--format", "structured"])
+    assert code == 1 and out.startswith("error: cannot write") and out.count("\n") == 1
 
 
 def test_cli_selftest_deterministic():

@@ -4,7 +4,17 @@ row-space and kernel oracles."""
 import numpy as np
 import pytest
 
-from irrtop.linalg import Subspace, all_vectors, kernel, projective_vectors, rref, solve
+from irrtop.linalg import (
+    PRIME_BOUND,
+    Subspace,
+    all_vectors,
+    is_prime,
+    kernel,
+    projective_vectors,
+    rref,
+    solve,
+    validate_prime,
+)
 
 
 def row_space_vectors(m, p):
@@ -145,3 +155,46 @@ def test_projective_vectors_cover_lines():
         line = frozenset(tuple((c * v) % 3) for c in range(1, 3))
         assert line not in seen
         seen.add(line)
+
+
+LARGEST_PRIME = max(q for q in range(PRIME_BOUND - 64, PRIME_BOUND) if is_prime(q))
+
+
+def python_rref(rows, p):
+    """Oracle: reduced row echelon form in Python integers."""
+    r = [[int(v) % p for v in row] for row in rows]
+    pr = 0
+    for c in range(len(r[0]) if r else 0):
+        k = next((i for i in range(pr, len(r)) if r[i][c]), None)
+        if k is None:
+            continue
+        r[pr], r[k] = r[k], r[pr]
+        inv = pow(r[pr][c], p - 2, p)
+        r[pr] = [v * inv % p for v in r[pr]]
+        for i in range(len(r)):
+            if i != pr and r[i][c]:
+                f = r[i][c]
+                r[i] = [(a - f * b) % p for a, b in zip(r[i], r[pr])]
+        pr += 1
+    return r, pr
+
+
+def test_primes_at_or_above_the_bound_are_refused():
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        validate_prime(4294967311)
+    assert validate_prime(LARGEST_PRIME) == LARGEST_PRIME
+
+
+def test_largest_accepted_prime_matches_python_integers():
+    p = LARGEST_PRIME
+    rng = np.random.default_rng(5)
+    for shape in [(2, 2), (4, 6), (6, 4), (8, 8)]:
+        m = rng.integers(p - 5, p, size=shape)
+        r, rank, _ = rref(m, p)
+        want, want_rank = python_rref(m.tolist(), p)
+        assert rank == want_rank and r.tolist() == want
+        x = rng.integers(p - 5, p, size=(shape[1], 64))
+        want_prod = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in x.T] for row in m]
+        assert ((m @ x) % p).tolist() == want_prod
+    assert python_rref([[p - 1, p - 2], [p - 3, p - 5]], p) == ([[1, 0], [0, 1]], 2)
+    assert rref(np.array([[p - 1, p - 2], [p - 3, p - 5]]), p)[0].tolist() == [[1, 0], [0, 1]]

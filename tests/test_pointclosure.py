@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from irrtop.pointclosure import (
+    FINITE_POINT_CAP,
     FiniteSpace,
     TopologyError,
     all_topologies,
     brute_force_point_closure,
     chain_stabilize,
+    lattice_problems,
     make_pair,
     pair_point_set,
     pair_subset,
@@ -221,3 +223,65 @@ def test_mixed_space_operations_rejected():
         pc_intersect([p1, p2])
     with pytest.raises(TopologyError):
         pc_union([p1, p2])
+
+
+def _pairwise_problems(fam) -> list[str]:
+    """Oracle: the lattice-of-sets check over every pair of members."""
+    problems = []
+    for x in fam:
+        for y in fam:
+            if x | y not in fam:
+                problems.append("closed family not stable under union")
+            if x & y not in fam:
+                problems.append("closed family not stable under intersection")
+    return problems
+
+
+def _families_with_corruptions():
+    """Every topology on up to 4 points, random ones on 5 to 7 points, and
+    each of them with one member dropped."""
+    fams = [(n, fam) for n in range(1, 5) for fam in all_topologies(n)]
+    rng = np.random.default_rng(7)
+    fams += [(n, random_topology(n, rng)) for n in (5, 6, 7) for _ in range(10)]
+    for n, fam in list(fams):
+        fams += [(n, fam - {member}) for member in fam]
+    return fams
+
+
+def test_birkhoff_check_matches_pairwise_oracle():
+    rejected = 0
+    for n, fam in _families_with_corruptions():
+        want_ok = not _pairwise_problems(fam)
+        masks = {sum(1 << i for i in s) for s in fam}
+        assert (not lattice_problems(masks, n)) == want_ok, (n, sorted(map(sorted, fam)))
+        space = FiniteSpace(tuple(range(n)), fam)
+        ends_present = frozenset() in fam and frozenset(range(n)) in fam
+        assert (not space.validate()) == (want_ok and ends_present)
+        rejected += not want_ok
+    assert rejected > 100  # the corruptions really exercise the reject side
+
+
+def test_validate_reports_at_most_five_problems():
+    # Every pair of distinct singletons lacks its union.
+    fam = frozenset([frozenset(), frozenset(range(8))] + [frozenset([i]) for i in range(8)])
+    problems = FiniteSpace(tuple(range(8)), fam).validate()
+    assert len(problems) == 5
+    assert set(problems) == {"closed family not stable under union"}
+
+
+def test_canonical_closed_part_is_union_of_members_inside():
+    rng = np.random.default_rng(11)
+    fams = [(n, fam) for n in range(1, 5) for fam in all_topologies(n)]
+    fams += [(n, random_topology(n, rng)) for n in (6, 8) for _ in range(10)]
+    for n, fam in fams:
+        for pair in point_closure(FiniteSpace.make(range(n), fam)).pairs:
+            s = pair.c | pair.f
+            want = frozenset().union(*(d for d in fam if d <= s))
+            assert pair.c == want and not pair.c & pair.f
+
+
+def test_symbolic_point_closure_refuses_above_cap():
+    wm = weyl_model(FINITE_POINT_CAP + 1)
+    with pytest.raises(TopologyError, match="capped"):
+        point_closure(wm)
+    assert len(point_closure(weyl_model(4)).pairs) == 17

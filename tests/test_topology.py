@@ -15,6 +15,7 @@ from irrtop.presets import (
     upper_triangular,
 )
 from irrtop.topology import (
+    IrrSpace,
     enumerate_irr,
     refined_closure,
     semiprimitive_subspaces,
@@ -193,3 +194,50 @@ def test_identify_rejects_unknown():
     other = enumerate_irr(matrix_algebra(2, 2), 0)
     with pytest.raises(ValueError):
         sp.identify(other.points[0].rep)
+
+
+def _worklist_semiprimitive_subspaces(space: IrrSpace) -> dict:
+    """Oracle: the meet lattice by rediscovery, intersecting every found
+    meet with every point annihilator until nothing new appears."""
+    found = {}
+    work = [Subspace.full(space.algebra.dim, space.algebra.p)]
+    while work:
+        sub = work.pop()
+        if sub in found:
+            continue
+        found[sub] = frozenset(pt.id for pt in space.points if pt.ann.subspace.contains_space(sub))
+        for pt in space.points:
+            work.append(sub.intersect(pt.ann.subspace))
+    return found
+
+
+def test_memoized_lattice_matches_worklist_oracle():
+    for a in gallery():
+        sp = enumerate_irr(a, 0)
+        assert semiprimitive_subspaces(sp) == _worklist_semiprimitive_subspaces(sp), a.name
+
+
+def test_memoized_meets_satisfy_chinese_remainder():
+    # Distinct simple annihilators are comaximal maximal ideals, so each
+    # one a meet takes in lowers its dimension by its full codimension.
+    for a in gallery():
+        sp = enumerate_irr(a, 0)
+        meets = sp._lattice.meets
+        d = a.dim
+        for mask in range(2 ** len(sp)):
+            ids = [i for i in range(len(sp)) if mask >> i & 1]
+            assert meets[mask] == sp.ann_meet(ids), a.name
+            assert meets[mask].dim == d - sum(d - sp.points[i].ann.dim for i in ids), a.name
+
+
+def test_lattice_is_built_once_and_only_by_lattice_consumers():
+    a = commutative_split(4, 2)
+    sp = enumerate_irr(a, 0)
+    vanishing_set(sp, Ideal(a, Subspace.zero(4, 2), "two-sided"))
+    assert "_lattice" not in vars(sp)
+    zariski_closed_family(sp)
+    lattice = vars(sp)["_lattice"]
+    verify_closed_form(sp, {0, 2}, 0)
+    semiprimitive_subspaces(sp)
+    assert vars(sp)["_lattice"] is lattice
+    assert enumerate_irr(a, 0)._lattice is not lattice
