@@ -150,33 +150,22 @@ class Ideal:
 
 
 def is_ideal(a: Algebra, s: Subspace, sided: str = "two-sided") -> bool:
-    for row in s.basis:
-        for i in range(a.dim):
-            e = a.basis_vector(i)
-            if not s.contains(a.multiply(e, row)):
-                return False
-            if sided == "two-sided" and not s.contains(a.multiply(row, e)):
-                return False
-    return True
+    """Whether s is closed under multiplication by basis elements on the
+    left (and on the right when two-sided)."""
+    if s.reduce(np.einsum("ijk,tj->itk", a.mul, s.basis) % a.p).any():
+        return False
+    return sided != "two-sided" or not s.reduce(np.einsum("tj,jik->itk", s.basis, a.mul) % a.p).any()
 
 
 def ideal_generated(a: Algebra, gens, sided: str = "two-sided") -> Ideal:
     """Least subspace containing gens closed under the required
     multiplications (spin-up to fixpoint)."""
-    sub = Subspace.zero(a.dim, a.p)
-    work = [as_vector(g, a.p) for g in gens]
-    while work:
-        v = work.pop()
-        r = sub.reduce(v)
-        if not r.any():
-            continue
-        sub = sub.add(Subspace.from_rows(r, a.p, ambient=a.dim))
-        for i in range(a.dim):
-            e = a.basis_vector(i)
-            work.append(a.multiply(e, r))
-            if sided == "two-sided":
-                work.append(a.multiply(r, e))
-    return Ideal(a, sub, sided)
+    from .modules import spin_matrices  # modules imports this module
+
+    mats = [np.transpose(a.mul, (0, 2, 1))]  # left multiplication by b_i
+    if sided == "two-sided":
+        mats.append(np.transpose(a.mul, (1, 2, 0)))  # right multiplication by b_i
+    return Ideal(a, spin_matrices(np.concatenate(mats), gens, a.p, a.dim), sided)
 
 
 def quotient_algebra(a: Algebra, ideal: Ideal) -> tuple[Algebra, np.ndarray]:
@@ -193,17 +182,11 @@ def quotient_algebra(a: Algebra, ideal: Ideal) -> tuple[Algebra, np.ndarray]:
         raise ValueError("quotient by the whole algebra is not represented")
     if not is_ideal(a, ideal.subspace, "two-sided"):
         raise ValueError("subspace is not a two-sided ideal")
-    comp = ideal.subspace.complement_columns()
+    comp = list(ideal.subspace.complement_columns())
     dq = len(comp)
-    proj = np.zeros((dq, a.dim), dtype=np.int64)
-    for j in range(a.dim):
-        res = ideal.subspace.reduce(a.basis_vector(j))
-        proj[:, j] = res[list(comp)]
-    lam = np.zeros((dq, dq, dq), dtype=np.int64)
-    for s in range(dq):
-        for t in range(dq):
-            prod = a.multiply(a.basis_vector(comp[s]), a.basis_vector(comp[t]))
-            lam[s, t] = ideal.subspace.reduce(prod)[list(comp)]
+    proj = ideal.subspace.reduce(np.eye(a.dim, dtype=np.int64))[:, comp].T
+    # b_s * b_t for complement basis elements is the structure-constant row.
+    lam = ideal.subspace.reduce(a.mul[np.ix_(comp, comp)])[:, :, comp]
     names = tuple(a.basis_name(c) + "~" for c in comp)
     one_q = (proj @ a.one) % a.p
     quot = Algebra(a.p, dq, lam, one_q, name=f"{a.name}/I" if a.name else "quotient", basis_names=names)

@@ -336,11 +336,12 @@ def _cmd_compare(args) -> Doc:
     zar = {z.point_ids for z in zariski_closed_family(space)}
     fin = FiniteSpace.make([pt.id for pt in space.points], zar)
     pc = point_closure(fin).point_sets()
-    refined = set()
+    reports = {}  # refined-closed set -> its closed-form report
     for mask in range(2**npts):
-        ids = frozenset(i for i in range(npts) if mask >> i & 1)
-        if refined_closure(space, ids, args.seed) == ids:
-            refined.add(ids)
+        rep = verify_closed_form(space, [i for i in range(npts) if mask >> i & 1], args.seed)
+        if rep.is_refined_closed:
+            reports[rep.selection] = rep
+    refined = set(reports)
     powerset_count = 2**npts
     discrete = len(pc) == powerset_count and len(refined) == powerset_count and len(zar) == powerset_count
     all_equal = zar == pc == refined
@@ -363,12 +364,11 @@ def _cmd_compare(args) -> Doc:
         node.add("points", " ".join(str(i) for i in sorted(ids)))
         tags = [name for name, fam in (("zariski", zar), ("refined", refined), ("point-closure", pc)) if ids in fam]
         node.add("tags", " ".join(tags))
-        if ids in refined:
-            rep = verify_closed_form(space, ids, args.seed)
-            if rep.found:
-                node.add("ideal_dim", rep.ideal_subspace.dim)
-                node.add("v_points", " ".join(str(i) for i in sorted(rep.v_points)))
-                node.add("finite_part", " ".join(str(i) for i in sorted(rep.finite_part)))
+        rep = reports.get(ids)
+        if rep is not None and rep.found:
+            node.add("ideal_dim", rep.ideal_subspace.dim)
+            node.add("v_points", " ".join(str(i) for i in sorted(rep.v_points)))
+            node.add("finite_part", " ".join(str(i) for i in sorted(rep.finite_part)))
     return result
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Ideal, quotient_algebra
-from .linalg import Subspace, all_vectors, as_vector, projective_vectors
+from .linalg import Subspace, all_vectors, as_vector, kernel, projective_vectors
 from .meataxe import composition_factors, group_factors, jacobson_radical
 from .modules import (
     ModuleRep,
@@ -90,15 +90,15 @@ class ProductFamily:
 
 def ann_of_vector(fam: ProductFamily, components) -> Ideal:
     """Left annihilator of an element of the product, one component vector
-    per factor; computed as the meet of the per-factor element
-    annihilators."""
+    per factor: the kernel of the stacked images of the element under the
+    algebra basis."""
     if len(components) != len(fam.factors):
         raise ValueError("one component per factor required")
     a = fam.algebra
-    sub = Subspace.full(a.dim, a.p)
-    for f, v in zip(fam.factors, components):
-        sub = sub.intersect(vector_annihilator(f, v))
-    return Ideal(a, sub, "left")
+    # Column i holds b_i applied to the element, factor by factor.
+    images = [(f.action @ as_vector(v, a.p)).T for f, v in zip(fam.factors, components)]
+    stacked = np.vstack(images) if images else np.zeros((0, a.dim), dtype=np.int64)
+    return Ideal(a, kernel(stacked, a.p), "left")
 
 
 @dataclass(frozen=True)
@@ -249,6 +249,24 @@ def _candidate_vectors(n: int, p: int, rng: np.random.Generator):
             yield v
 
 
+def _best_vector(f: ModuleRep, mat: np.ndarray, running: Subspace, rng, slab: Subspace | None = None):
+    """Among the candidate vectors y of f moved by mat, the first that
+    minimizes dim(running & ann(y)), measured inside slab when given; the
+    scan stops early at dimension 0. Returns (measured, y, running & ann(y)),
+    or None when mat moves no candidate."""
+    best = None
+    for y in _candidate_vectors(f.n, f.p, rng):
+        if not ((mat @ y) % f.p).any():
+            continue
+        meet = running.intersect(vector_annihilator(f, y))
+        measured = meet if slab is None else meet.intersect(slab)
+        if best is None or measured.dim < best[0].dim:
+            best = (measured, np.array(y, dtype=np.int64), meet)
+        if measured.dim == 0:
+            break
+    return best
+
+
 def staged_product_embedding(
     fam: ProductFamily,
     target: Ideal | None = None,
@@ -307,15 +325,7 @@ def staged_product_embedding(
                 mat = f.act(v)
                 if not mat.any():
                     continue
-                best = None
-                for y in _candidate_vectors(f.n, work_alg.p, rng):
-                    if not ((mat @ y) % work_alg.p).any():
-                        continue
-                    cand = accum.intersect(vector_annihilator(f, y)).intersect(slab)
-                    if best is None or cand.dim < best[0]:
-                        best = (cand.dim, y, accum.intersect(vector_annihilator(f, y)))
-                    if cand.dim == 0:
-                        break
+                best = _best_vector(f, mat, accum, rng, slab)
                 if best is not None:
                     pick = (idx, best)
                     break
@@ -325,13 +335,12 @@ def staged_product_embedding(
                 )
                 trace = StagedTrace(tuple(records), "stall", note=f"stage {stage} blocked")
                 return None, trace
-            idx, (new_dim, y, new_accum) = pick
-            if new_dim >= blocked.dim:
+            idx, (new_blocked, y, accum) = pick
+            if new_blocked.dim >= blocked.dim:
                 raise AssertionError("stage made no progress on the blocked subspace")
             used[idx] = True
-            chosen[idx] = np.array(y, dtype=np.int64)
-            accum = new_accum
-            blocked = accum.intersect(slab)
+            chosen[idx] = y
+            blocked = new_blocked
             picks.append(StagePick(idx, tuple(int(t) for t in y), blocked.dim))
         records.append(StageRecord(stage, slab.dim, tuple(picks)))
     comps = [
@@ -383,17 +392,8 @@ def chain_product_embedding(fam: ProductFamily, seed: int = 0) -> tuple[Embeddin
         if not mat.any():
             steps.append(ChainStep(idx, False, tuple(int(t) for t in r), l_dim_after=kill.dim))
             continue
-        best = None
-        for y in _candidate_vectors(f.n, a.p, rng):
-            if not ((mat @ y) % a.p).any():
-                continue
-            cand = kill.intersect(vector_annihilator(f, y))
-            if best is None or cand.dim < best[0]:
-                best = (cand.dim, np.array(y, dtype=np.int64), cand)
-            if cand.dim == 0:
-                break
-        new_dim, y, new_kill = best
-        if new_dim >= kill.dim:
+        new_kill, y, _ = _best_vector(f, mat, kill, rng)
+        if new_kill.dim >= kill.dim:
             raise AssertionError("accepted chain step failed to shrink the running ideal")
         comps[idx] = y
         kill = new_kill

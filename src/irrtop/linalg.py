@@ -173,6 +173,9 @@ class Subspace:
     basis: np.ndarray = field(repr=False)
     pivots: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        self.basis.setflags(write=False)
+
     @staticmethod
     def from_rows(rows, p: int, ambient: int | None = None) -> "Subspace":
         m = as_matrix(rows, p, cols=ambient)
@@ -181,21 +184,15 @@ class Subspace:
         if m.shape[1] != ambient:
             raise ValueError("row width does not match ambient dimension")
         r, rank, pivots = rref(m, p)
-        b = r[:rank].copy()
-        b.setflags(write=False)
-        return Subspace(p, ambient, b, tuple(pivots))
+        return Subspace(p, ambient, r[:rank].copy(), tuple(pivots))
 
     @staticmethod
     def zero(ambient: int, p: int) -> "Subspace":
-        b = np.zeros((0, ambient), dtype=np.int64)
-        b.setflags(write=False)
-        return Subspace(p, ambient, b, ())
+        return Subspace(p, ambient, np.zeros((0, ambient), dtype=np.int64), ())
 
     @staticmethod
     def full(ambient: int, p: int) -> "Subspace":
-        b = np.eye(ambient, dtype=np.int64)
-        b.setflags(write=False)
-        return Subspace(p, ambient, b, tuple(range(ambient)))
+        return Subspace(p, ambient, np.eye(ambient, dtype=np.int64), tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -219,23 +216,25 @@ class Subspace:
         return hash(self.key())
 
     def reduce(self, v) -> np.ndarray:
-        """Residual of v after elimination against the basis; zero iff v is
-        in the subspace."""
-        r = as_vector(v, self.p)
-        if r.shape[0] != self.ambient:
+        """Residual of v, a vector or a stack of rows, against the RREF
+        basis; a row's residual is zero iff the row is in the subspace.
+
+        The basis is the identity on the pivot columns, so the coefficients
+        of the eliminating combination are v's own pivot entries."""
+        r = np.array(v, dtype=np.int64) % self.p
+        if r.ndim == 0 or r.shape[-1] != self.ambient:
             raise ValueError("vector does not match ambient dimension")
-        for i, c in enumerate(self.pivots):
-            if r[c]:
-                r = (r - r[c] * self.basis[i]) % self.p
-        return r
+        if not self.dim:
+            return r
+        return (r - r[..., list(self.pivots)] @ self.basis) % self.p
 
     def contains(self, v) -> bool:
         return not self.reduce(v).any()
 
     def contains_space(self, other: "Subspace") -> bool:
-        if other.ambient != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return all(self.contains(row) for row in other.basis)
+        if other.ambient != self.ambient or other.p != self.p:
+            raise ValueError("subspace containment requires equal ambient space")
+        return not self.reduce(other.basis).any()
 
     def coords(self, v) -> np.ndarray | None:
         """Coefficients of v in the RREF basis, or None if v is outside."""
@@ -254,11 +253,14 @@ class Subspace:
             raise ValueError("subspace intersection requires equal ambient space")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient, self.p)
-        # Pairs (a, b) with a @ U = b @ V give the common vectors a @ U.
-        m = np.hstack([self.basis.T, (-other.basis.T) % self.p])
-        ker = kernel(m, self.p)
-        rows = (ker.basis[:, : self.dim] @ self.basis) % self.p if ker.dim else np.zeros((0, self.ambient), dtype=np.int64)
-        return Subspace.from_rows(rows, self.p, ambient=self.ambient)
+        # Zassenhaus: in the RREF of [[U, U], [V, 0]] the rows whose left
+        # half is zero carry an RREF basis of U & V in their right half.
+        n = self.ambient
+        top = np.hstack([self.basis, self.basis])
+        bottom = np.hstack([other.basis, np.zeros_like(other.basis)])
+        r, rank, pivots = rref(np.vstack([top, bottom]), self.p)
+        keep = [i for i in range(rank) if pivots[i] >= n]
+        return Subspace(self.p, n, r[keep, n:], tuple(pivots[i] - n for i in keep))
 
     def complement_columns(self) -> tuple[int, ...]:
         """Coordinates not used as pivots; unit vectors there span a

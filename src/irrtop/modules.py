@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Ideal
+from .algebra import Algebra, Ideal, is_ideal
 from .linalg import Subspace, as_vector, kernel
 
 __all__ = [
@@ -87,14 +87,10 @@ def annihilator(a: Algebra, m: ModuleRep) -> Ideal:
     """Two-sided ideal of algebra elements acting as zero on m."""
     stacked = m.action.reshape(a.dim, m.n * m.n).T  # (n*n, d)
     sub = kernel(stacked, a.p)
-    ideal = Ideal(a, sub, "two-sided")
     # Annihilators of modules are two-sided; check closure as a self-check.
-    for row in sub.basis:
-        for i in range(a.dim):
-            e = a.basis_vector(i)
-            if not sub.contains(a.multiply(e, row)) or not sub.contains(a.multiply(row, e)):
-                raise AssertionError("module annihilator failed two-sided closure")
-    return ideal
+    if not is_ideal(a, sub, "two-sided"):
+        raise AssertionError("module annihilator failed two-sided closure")
+    return Ideal(a, sub, "two-sided")
 
 
 def vector_annihilator(m: ModuleRep, v) -> Subspace:
@@ -108,36 +104,42 @@ def vector_annihilator(m: ModuleRep, v) -> Subspace:
 
 def spin_matrices(mats, vecs, p: int, ambient: int) -> Subspace:
     """Least subspace containing vecs stable under the given matrices."""
-    rows: dict[int, np.ndarray] = {}  # pivot column -> normalized row
-
-    def residual(v: np.ndarray) -> np.ndarray:
-        v = v % p
-        for c in sorted(rows):
-            if v[c]:
-                v = (v - v[c] * rows[c]) % p
-        return v
-
+    mats = np.asarray(mats, dtype=np.int64).reshape(len(mats), ambient, ambient)
+    rows = np.zeros((ambient, ambient), dtype=np.int64)  # reduced rows in the order found
+    pivots: list[int] = []
     work = [as_vector(v, p) for v in vecs]
     while work:
-        r = residual(work.pop())
+        v = work.pop()
+        k = len(pivots)
+        r = (v - v[pivots] @ rows[:k]) % p
         if not r.any():
             continue
-        c = int(np.nonzero(r)[0][0])
-        rows[c] = (r * pow(int(r[c]), p - 2, p)) % p
-        for mat in mats:
-            work.append((mat @ rows[c]) % p)
-    if not rows:
-        return Subspace.zero(ambient, p)
-    return Subspace.from_rows(np.vstack([rows[c] for c in sorted(rows)]), p, ambient=ambient)
+        c = int(r.nonzero()[0][0])
+        r = (r * pow(int(r[c]), p - 2, p)) % p
+        # Clear column c from the earlier rows, so pivot columns stay unit columns.
+        rows[:k] = (rows[:k] - np.outer(rows[:k, c], r)) % p
+        rows[k] = r
+        pivots.append(c)
+        # Queue only the images that the rows found so far do not span.
+        images = (mats @ r) % p
+        images = (images - images[:, pivots] @ rows[: k + 1]) % p
+        work.extend(images[images.any(axis=1)])
+    order = np.argsort(pivots)  # sorting the reduced rows by pivot gives the RREF
+    return Subspace(p, ambient, rows[order], tuple(pivots[i] for i in order))
 
 
 def spin(m: ModuleRep, vecs) -> Subspace:
     """Submodule generated by the given vectors."""
-    return spin_matrices(list(m.action), vecs, m.p, m.n)
+    return spin_matrices(m.action, vecs, m.p, m.n)
+
+
+def _images(m: ModuleRep, rows: np.ndarray) -> np.ndarray:
+    """(d, k, n) stack: entry [i, j] is action[i] applied to rows[j]."""
+    return (rows @ np.transpose(m.action, (0, 2, 1))) % m.p
 
 
 def is_submodule(m: ModuleRep, s: Subspace) -> bool:
-    return all(s.contains((m.action[i] @ row) % m.p) for i in range(m.algebra.dim) for row in s.basis)
+    return not s.reduce(_images(m, s.basis)).any()
 
 
 def sub_quotient(m: ModuleRep, s: Subspace) -> tuple[ModuleRep, ModuleRep]:
@@ -146,21 +148,14 @@ def sub_quotient(m: ModuleRep, s: Subspace) -> tuple[ModuleRep, ModuleRep]:
         raise ValueError("submodule must live in the module's coordinate space")
     if not is_submodule(m, s):
         raise ValueError("subspace is not stable under the action")
-    d, p = m.algebra.dim, m.p
-    k = s.dim
-    comp = s.complement_columns()
-    q = len(comp)
-    sub_act = np.zeros((d, k, k), dtype=np.int64)
-    quot_act = np.zeros((d, q, q), dtype=np.int64)
-    for i in range(d):
-        for j in range(k):
-            img = (m.action[i] @ s.basis[j]) % p
-            sub_act[i][:, j] = img[list(s.pivots)]
-        for u, c in enumerate(comp):
-            img = s.reduce(m.action[i][:, c])
-            quot_act[i][:, u] = img[list(comp)]
-    sub = ModuleRep(m.algebra, k, sub_act, label=f"{m.label}|sub" if m.label else "sub")
-    quot = ModuleRep(m.algebra, q, quot_act, label=f"{m.label}|quot" if m.label else "quot")
+    piv, comp = list(s.pivots), list(s.complement_columns())
+    # Coordinates of the images of the basis rows, as columns.
+    sub_act = np.transpose(_images(m, s.basis)[:, :, piv], (0, 2, 1))
+    # Images of the complement's unit vectors (action columns), reduced modulo s.
+    images = np.transpose(m.action[:, :, comp], (0, 2, 1))
+    quot_act = np.transpose(s.reduce(images)[:, :, comp], (0, 2, 1))
+    sub = ModuleRep(m.algebra, len(piv), sub_act, label=f"{m.label}|sub" if m.label else "sub")
+    quot = ModuleRep(m.algebra, len(comp), quot_act, label=f"{m.label}|quot" if m.label else "quot")
     return sub, quot
 
 
