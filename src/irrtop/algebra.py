@@ -19,6 +19,7 @@ __all__ = [
     "Ideal",
     "validate_algebra",
     "is_ideal",
+    "product_space",
     "ideal_generated",
     "quotient_algebra",
     "product_algebra",
@@ -155,6 +156,13 @@ def is_ideal(a: Algebra, s: Subspace, sided: str = "two-sided") -> bool:
     if s.reduce(np.einsum("ijk,tj->itk", a.mul, s.basis) % a.p).any():
         return False
     return sided != "two-sided" or not s.reduce(np.einsum("tj,jik->itk", s.basis, a.mul) % a.p).any()
+
+
+def product_space(a: Algebra, u: Subspace, v: Subspace) -> Subspace:
+    """Span of every product x*y with x in u and y in v: one einsum over
+    the basis pairs, then one elimination."""
+    rows = np.einsum("ri,sj,ijk->rsk", u.basis, v.basis, a.mul) % a.p
+    return Subspace.from_rows(rows.reshape(-1, a.dim), a.p, ambient=a.dim)
 
 
 def ideal_generated(a: Algebra, gens, sided: str = "two-sided") -> Ideal:

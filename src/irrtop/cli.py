@@ -2,7 +2,8 @@
 
 Every command prints one deterministic tree report (``--format structured``)
 or a human rendering derived from it; all randomness funnels through
-``--seed``. Exit codes: 0 success, 1 domain error, 2 usage or parse error.
+``--seed``. Exit codes: 0 success, 1 domain error, 2 usage or parse error,
+3 internal error (a failed self-check; a one-line message, no traceback).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 import numpy as np
 
 from . import docs as docsmod
-from .algebra import Algebra, Ideal, ideal_generated, quotient_algebra, validate_algebra
+from .algebra import Algebra, Ideal, ideal_generated, product_space, quotient_algebra, validate_algebra
 from .docs import Doc, render_report
 from .embeddings import (
     ProductFamily,
@@ -141,7 +142,7 @@ def _parse_set(arg: str) -> list[int]:
         tok = tok.strip()
         if tok.startswith("p"):
             tok = tok[1:]
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise UsageError(f"bad point id {tok!r} in --set")
         out.append(int(tok))
     return out
@@ -154,7 +155,7 @@ def _parse_vectors(arg: str, dim: int) -> list[np.ndarray]:
         if not part:
             continue
         toks = part.split()
-        if not all(t.lstrip("-").isdigit() for t in toks):
+        if not all(t.lstrip("-").isdecimal() for t in toks):
             raise UsageError(f"bad vector {part!r} in --ideal")
         v = np.array([int(t) for t in toks], dtype=np.int64)
         if v.shape != (dim,):
@@ -221,11 +222,7 @@ def _cmd_radical(args) -> Doc:
     power = rad.subspace
     k = 1
     while power.dim and k <= a.dim + 1:
-        rows = []
-        for x in power.basis:
-            for y in rad.subspace.basis:
-                rows.append(a.multiply(x, y))
-        power = Subspace.from_rows(np.array(rows, dtype=np.int64) if rows else np.zeros((0, a.dim), dtype=np.int64), a.p, ambient=a.dim)
+        power = product_space(a, power, rad.subspace)
         k += 1
     result.add("nilpotency_index", k)
     result.add("semisimple", "true" if rad.is_zero else "false")
@@ -442,6 +439,8 @@ def _cmd_embed(args) -> Doc:
     result.add("target_dim", target.dim)
     result.add("status", outcome.status)
     result.add("tried", outcome.tried)
+    if outcome.reason:
+        result.add("reason", outcome.reason)
     if outcome.witness is not None:
         _witness_node(result, outcome.witness)
     return result
@@ -450,11 +449,8 @@ def _cmd_embed(args) -> Doc:
 def _cmd_embed_staged(args) -> Doc:
     a, fam = _load_family(args.infile, args.seed)
     target = _family_target(a, args)
-    order = None
-    if args.order:
-        order = tuple(int(t) for t in args.order.split(","))
     try:
-        witness, trace = staged_product_embedding(fam, target, basis_order=order, seed=args.seed)
+        witness, trace = staged_product_embedding(fam, target, basis_order=args.order, seed=args.seed)
     except ValueError as e:
         raise DomainError(str(e)) from e
     result = Doc()
@@ -498,23 +494,21 @@ def _cmd_embed_chain(args) -> Doc:
 
 def _cmd_chain_bound(args) -> Doc:
     a = _load_algebra(args.infile)
-    which = args.module or "regular"
+    which = args.module
     if which == "regular":
         m = regular_module(a)
-    elif which.startswith("simple#"):
+    else:
         space = enumerate_irr(a, args.seed)
         k = int(which[len("simple#"):])
         if k >= len(space.points):
             raise DomainError(f"simple#{k} out of range")
         m = space.points[k].rep
-    else:
-        raise UsageError("--module expects 'regular' or 'simple#k'")
-    length = len(composition_factors(m, args.seed))
+    bound = chain_bound(m, args.seed)
     result = Doc()
     result.add("module", which)
     result.add("module_dim", m.n)
-    result.add("length", length)
-    result.add("bound", chain_bound(m, args.seed))
+    result.add("length", bound - 2)
+    result.add("bound", bound)
     return result
 
 
@@ -608,12 +602,7 @@ def _selftest_checks(seed: int):
         power = rad.subspace
         steps = 0
         while power.dim and steps <= a.dim:
-            rows = [a.multiply(x, y) for x in power.basis for y in rad.subspace.basis]
-            power = Subspace.from_rows(
-                np.array(rows, dtype=np.int64) if rows else np.zeros((0, a.dim), dtype=np.int64),
-                a.p,
-                ambient=a.dim,
-            )
+            power = product_space(a, power, rad.subspace)
             steps += 1
         ok_rad &= power.dim == 0
         if not rad.is_zero and not rad.is_whole:
@@ -795,25 +784,59 @@ HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _count(text: str) -> int:
+    """A non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _index_list(text: str) -> tuple[int, ...] | None:
+    """Comma-separated non-negative integers; blank means none given."""
+    if not text.strip():
+        return None
+    toks = [t.strip() for t in text.split(",")]
+    if not all(t.isdecimal() for t in toks):
+        raise argparse.ArgumentTypeError(f"expected comma-separated non-negative integers, got {text!r}")
+    return tuple(int(t) for t in toks)
+
+
+def _module_name(text: str) -> str:
+    """'regular' (also when blank) or 'simple#k' with k a non-negative
+    integer."""
+    if not text:
+        return "regular"
+    if text != "regular" and not (text.startswith("simple#") and text[len("simple#"):].isdecimal()):
+        raise argparse.ArgumentTypeError(f"expected 'regular' or 'simple#k', got {text!r}")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="irrtop", description=__doc__)
+    ap = _Parser(prog="irrtop", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_count, default=0)
         sp.add_argument("--in", dest="infile", default="-")
         sp.add_argument("--set", default="")
         sp.add_argument("--ideal", default="")
-        sp.add_argument("--t", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=5000)
+        sp.add_argument("--t", type=_count, default=0)
+        sp.add_argument("--budget", type=_count, default=5000)
         sp.add_argument("--out", default="")
         sp.add_argument("--format", dest="fmt", choices=("human", "structured"), default="human")
         if name == "weyl-model":
-            sp.add_argument("--points", type=int, default=3)
+            sp.add_argument("--points", type=_count, default=3)
         if name == "embed-staged":
-            sp.add_argument("--order", default="")
+            sp.add_argument("--order", type=_index_list, default=None)
         if name == "chain-bound":
-            sp.add_argument("--module", default="regular")
+            sp.add_argument("--module", type=_module_name, default="regular")
     return ap
 
 
@@ -823,18 +846,20 @@ def run(argv: list[str]) -> tuple[int, str]:
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as e:
-        return (int(e.code) if e.code else 2, "")
+    except UsageError as e:
+        return 2, f"error: {e}\n"
+    except SystemExit as e:  # --help has printed its text
+        return int(e.code or 0), ""
     handler = HANDLERS[args.command]
     t0 = time.perf_counter()
     try:
         result = handler(args)
     except UsageError as e:
         return 2, f"error: {e}\n"
-    except DomainError as e:
+    except (DomainError, TopologyError, MeatAxeError, ValueError) as e:
         return 1, f"error: {e}\n"
-    except (TopologyError, MeatAxeError, ValueError) as e:
-        return 1, f"error: {e}\n"
+    except AssertionError as e:
+        return 3, "internal error: " + (" ".join(str(e).split()) or "self-check failed") + "\n"
     elapsed = (time.perf_counter() - t0) * 1000.0
     if args.fmt == "structured":
         text = render_report(_wrap(args.command, args, result))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Algebra, Ideal, quotient_algebra
 from .linalg import Subspace, all_vectors, as_vector, kernel, projective_vectors
-from .meataxe import composition_factors, group_factors, jacobson_radical
+from .meataxe import composition_factors
 from .modules import (
     ModuleRep,
     annihilator,
@@ -168,41 +168,51 @@ def deletion_stability(fam: ProductFamily, target: Ideal, t: int) -> DeletionRep
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """'found' carries a witness; 'none' asserts nonexistence (exhaustive
-    scans only); 'unknown' reports an exhausted sampling budget."""
+    """'found' carries a witness; 'none' asserts nonexistence, either by
+    theory (with the reason) or by an exhaustive scan; 'unknown' reports an
+    exhausted sampling budget."""
 
     status: str
     witness: EmbeddingWitness | None
     tried: int
+    reason: str = ""
 
 
 def find_embedding(
     fam: ProductFamily, target: Ideal, seed: int = 0, budget: int = 5000
 ) -> SearchOutcome:
     """Search for an element of the product whose annihilator is exactly the
-    target ideal. Exhaustive when the product has at most 4096 elements;
-    otherwise seeded random sampling up to the budget."""
+    target ideal.
+
+    Every element x has ann(x) containing ann(product), so a target other
+    than ann(product) is answered 'none' without a scan. Otherwise the
+    candidates are every element when the product has at most 4096 of them,
+    else `budget` seeded random draws; a candidate passes when ann(x) equals
+    the target. Since A.x is isomorphic to A/ann(x), its orbit then has the
+    right dimension, which one spin of the returned witness verifies."""
     a = fam.algebra
     prod_ann = Subspace.full(a.dim, a.p)
     for f in fam.factors:
         prod_ann = prod_ann.intersect(annihilator(a, f).subspace)
     if not prod_ann.contains_space(target.subspace):
         raise ValueError("target ideal must annihilate the whole product")
-    if fam.state_count() <= EXHAUSTIVE_CAP:
-        tried = 0
-        for comps in itertools.product(*[list(all_vectors(f.n, a.p)) for f in fam.factors]):
-            tried += 1
+    if prod_ann != target.subspace:
+        return SearchOutcome("none", None, 0, "ann(product) strictly contains the target")
+    exhaustive = fam.state_count() <= EXHAUSTIVE_CAP
+    if exhaustive:
+        candidates = itertools.product(*[list(all_vectors(f.n, a.p)) for f in fam.factors])
+    else:
+        rng = np.random.default_rng(seed)
+        candidates = ([rng.integers(0, a.p, size=f.n) for f in fam.factors] for _ in range(budget))
+    tried = 0
+    for comps in candidates:
+        tried += 1
+        if ann_of_vector(fam, comps).subspace == target.subspace:
             w = _witness(fam, comps, target)
-            if w.valid:
-                return SearchOutcome("found", w, tried)
-        return SearchOutcome("none", None, tried)
-    rng = np.random.default_rng(seed)
-    for tried in range(1, budget + 1):
-        comps = [rng.integers(0, a.p, size=f.n) for f in fam.factors]
-        w = _witness(fam, comps, target)
-        if w.valid:
+            if not w.valid:
+                raise AssertionError("search witness has the target annihilator but not its orbit dimension")
             return SearchOutcome("found", w, tried)
-    return SearchOutcome("unknown", None, budget)
+    return SearchOutcome("none" if exhaustive else "unknown", None, tried)
 
 
 @dataclass(frozen=True)
@@ -464,12 +474,16 @@ class SufficiencyReport:
 def sufficiency_check(a: Algebra, fam: ProductFamily, seed: int = 0) -> SufficiencyReport:
     """Compare the number of faithful factors against the descent bound of
     the regular module; at or above the bound the chain construction cannot
-    run out of useful factors."""
+    run out of useful factors.
+
+    The regular module is split once. Its factor count gives the bound. The
+    algebra is simple (zero radical, one simple class) iff any one of its
+    simple modules is faithful: a finite-dimensional algebra with a faithful
+    simple module is primitive, hence simple Artinian."""
     faithful = sum(1 for f in fam.factors if annihilator(a, f).is_zero)
-    bound = chain_bound(regular_module(a), seed)
-    rad = jacobson_radical(a, seed)
-    classes = group_factors(composition_factors(regular_module(a), seed))
-    simple = rad.is_zero and len(classes) == 1
+    factors = composition_factors(regular_module(a), seed)
+    bound = len(factors) + 2  # chain_bound of the regular module
+    simple = bool(factors) and annihilator(a, factors[0]).is_zero
     note = ""
     if simple:
         note = "simple algebra: every nonzero module is faithful"

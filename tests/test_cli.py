@@ -4,6 +4,7 @@ line surface (dispatch, determinism, exit codes)."""
 import numpy as np
 import pytest
 
+from irrtop import cli
 from irrtop.cli import run
 from irrtop.docs import (
     build_algebra,
@@ -237,6 +238,17 @@ def test_cli_embedding_commands(tmp_path):
     assert code == 0 and "outcome: witness" in out
     code, out = run(["sufficiency", "--in", fam, "--format", "structured"])
     assert code == 0 and "bound: 5" in out
+    assert "reason:" not in run(["embed", "--in", fam, "--format", "structured"])[1]
+
+
+def test_cli_embed_states_why_theory_rules_out_a_witness(tmp_path):
+    fam = _write(tmp_path, "simples.fam", "algebra: preset upper_triangular(2, 2)\nfactor: simple#0\nfactor: simple#1\n")
+    code, out = run(["embed", "--in", fam, "--format", "structured"])
+    assert code == 0
+    assert "status: none\n  tried: 0\n  reason: ann(product) strictly contains the target\n" in out
+    # The radical is ann(product) here, so it is searched for and found.
+    code, out = run(["embed", "--in", fam, "--ideal", "0 1 0", "--format", "structured"])
+    assert code == 0 and "status: found" in out and "reason:" not in out
 
 
 def test_cli_stability(tmp_path):
@@ -255,7 +267,7 @@ def test_cli_stability(tmp_path):
 def test_cli_chain_bound(tmp_path):
     alg = _write(tmp_path, "ut2.alg", UT2_PRESET)
     code, out = run(["chain-bound", "--in", alg, "--format", "structured"])
-    assert code == 0 and "bound: 5" in out
+    assert code == 0 and "length: 3\n  bound: 5\n" in out
     code, out = run(["chain-bound", "--in", alg, "--module", "simple#0", "--format", "structured"])
     assert code == 0 and "bound: 3" in out
 
@@ -269,6 +281,48 @@ def test_cli_exit_codes(tmp_path):
     broken = _write(tmp_path, "broken.alg", "p: 2\ndim: 1\none: 0\nmul: 0 0 0 1\n")
     code, out = run(["irr", "--in", broken])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["embed", "--in", "{fam}", "--budget", "-5"], "--budget"),
+        (["stability", "--in", "{fam}", "--t", "-1"], "--t"),
+        (["weyl-model", "--points", "-2"], "--points"),
+        (["embed-staged", "--in", "{fam}", "--order", "0,x"], "--order"),
+        (["chain-bound", "--in", "{alg}", "--module", "simple#x"], "--module"),
+        (["chain-bound", "--in", "{alg}", "--module", "simple#-1"], "--module"),
+        (["irr", "--in", "{alg}", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_cli_rejects_bad_integers_as_usage_errors(tmp_path, argv, flag):
+    paths = {"fam": _write(tmp_path, "fam.fam", FAMILY_TEXT), "alg": _write(tmp_path, "ut2.alg", UT2_PRESET)}
+    code, out = run([t.format(**paths) for t in argv] + ["--format", "structured"])
+    assert code == 2 and out.startswith(f"error: argument {flag}:") and out.count("\n") == 1
+
+
+def test_cli_non_ascii_digits_are_usage_errors(tmp_path):
+    alg = _write(tmp_path, "ut2.alg", UT2_PRESET)
+    code, out = run(["refined-closure", "--in", alg, "--set", "\u00b2"])
+    assert code == 2 and out.startswith("error: bad point id")
+    code, out = run(["vset", "--in", alg, "--ideal", "0 \u00b2 0"])
+    assert code == 2 and out.startswith("error: bad vector")
+
+
+def test_cli_help_exits_0(capsys):
+    assert run(["irr", "--help"]) == (0, "")
+    assert "--seed" in capsys.readouterr().out
+
+
+def test_cli_internal_error_exits_3_without_traceback(tmp_path, monkeypatch):
+    def broken(args):
+        raise AssertionError("composition factor dimensions do not sum\nto the module dimension")
+
+    monkeypatch.setitem(cli.HANDLERS, "irr", broken)
+    alg = _write(tmp_path, "ut2.alg", UT2_PRESET)
+    code, out = run(["irr", "--in", alg, "--format", "structured"])
+    assert code == 3
+    assert out == "internal error: composition factor dimensions do not sum to the module dimension\n"
 
 
 def test_cli_point_closure_refuses_13_classes(tmp_path):

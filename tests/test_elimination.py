@@ -8,7 +8,7 @@ way for their shared replacement."""
 import numpy as np
 import pytest
 
-from irrtop.algebra import Algebra, Ideal, ideal_generated, is_ideal, quotient_algebra
+from irrtop.algebra import Algebra, Ideal, ideal_generated, is_ideal, product_space, quotient_algebra
 from irrtop.embeddings import ProductFamily, _best_vector, _candidate_vectors, ann_of_vector
 from irrtop import modules
 from irrtop.linalg import PRIME_BOUND, Subspace, as_vector, is_prime, kernel, rref
@@ -126,6 +126,14 @@ def quotient_oracle(a: Algebra, ideal: Ideal):
             prod = a.multiply(a.basis_vector(cs), a.basis_vector(ct))
             lam[s, t] = reduce_oracle(ideal.subspace, prod)[list(comp)]
     return proj, lam
+
+
+def product_space_oracle(a: Algebra, u: Subspace, v: Subspace) -> Subspace:
+    """One product per pair of basis rows."""
+    rows = [a.multiply(x, y) for x in u.basis for y in v.basis]
+    return Subspace.from_rows(
+        np.array(rows, dtype=np.int64) if rows else np.zeros((0, a.dim), dtype=np.int64), a.p, ambient=a.dim
+    )
 
 
 # --- helpers ----------------------------------------------------------------
@@ -281,6 +289,19 @@ def test_ideals_match_oracles_on_random_algebras(p):
         gens = rng.integers(0, p, size=(2, a.dim))
         for sided in ("left", "two-sided"):
             assert ideal_generated(a, gens, sided).subspace == ideal_generated_oracle(a, gens, sided)
+
+
+@pytest.mark.parametrize("a", ALGEBRAS, ids=ALGEBRA_IDS)
+def test_product_space_matches_the_pairwise_loop(a):
+    rng = np.random.default_rng(400 + a.dim)
+    subs = candidate_subspaces(a, rng)
+    if a.p == LARGEST_PRIME:
+        subs += [random_subspace(rng, a.dim, a.p, k, high=True) for k in range(1, a.dim + 1)]
+    for u in subs:
+        for v in subs:
+            got = product_space(a, u, v)
+            assert_rref(got)
+            assert got == product_space_oracle(a, u, v)
 
 
 @pytest.mark.parametrize("a", ALGEBRAS, ids=ALGEBRA_IDS)

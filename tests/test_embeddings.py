@@ -1,13 +1,19 @@
 """Embedding constructions: element annihilators, deletion stability,
-witness search, the staged and chain constructions with their traces, and
-the descent bound against the lattice oracle."""
+witness search against the per-candidate scan it replaced, the staged and
+chain constructions with their traces, and the descent bound against the
+lattice oracle."""
+
+import itertools
 
 import numpy as np
 import pytest
 
+from irrtop import embeddings
 from irrtop.algebra import Algebra, Ideal
 from irrtop.embeddings import (
+    EXHAUSTIVE_CAP,
     ProductFamily,
+    _witness,
     ann_of_vector,
     chain_bound,
     chain_product_embedding,
@@ -18,9 +24,9 @@ from irrtop.embeddings import (
     submodule_lattice,
     sufficiency_check,
 )
-from irrtop.linalg import Subspace
-from irrtop.meataxe import jacobson_radical
-from irrtop.modules import regular_module, zero_module
+from irrtop.linalg import Subspace, all_vectors
+from irrtop.meataxe import composition_factors, group_factors, jacobson_radical
+from irrtop.modules import annihilator, direct_sum, regular_module, spin, zero_module
 from irrtop.presets import gallery, matrix_algebra, truncated_polynomial, upper_triangular
 from irrtop.topology import enumerate_irr
 
@@ -279,3 +285,152 @@ def test_witness_invariants_everywhere():
         assert w is not None and w.valid
         assert w.ann.subspace == w.target.subspace
         assert w.orbit_dim == a.dim - w.target.dim
+
+
+# --- witness search against the per-candidate scan ---------------------------
+
+
+def search_oracle(fam, target, seed=0, budget=5000):
+    """The scan find_embedding replaced: every candidate builds the direct
+    sum and spins, exhaustive up to the cap and sampled above it. Returns
+    (status, witness, tried)."""
+    a = fam.algebra
+    if fam.state_count() <= EXHAUSTIVE_CAP:
+        tried = 0
+        for comps in itertools.product(*[list(all_vectors(f.n, a.p)) for f in fam.factors]):
+            tried += 1
+            w = _witness(fam, comps, target)
+            if w.valid:
+                return "found", w, tried
+        return "none", None, tried
+    rng = np.random.default_rng(seed)
+    for tried in range(1, budget + 1):
+        w = _witness(fam, [rng.integers(0, a.p, size=f.n) for f in fam.factors], target)
+        if w.valid:
+            return "found", w, tried
+    return "unknown", None, budget
+
+
+def product_annihilator(fam):
+    meet = Subspace.full(fam.algebra.dim, fam.algebra.p)
+    for f in fam.factors:
+        meet = meet.intersect(annihilator(fam.algebra, f).subspace)
+    return meet
+
+
+def assert_search_matches_oracle(fam, target, seed=0, budget=5000):
+    got = find_embedding(fam, target, seed, budget)
+    status, w, tried = search_oracle(fam, target, seed, budget)
+    if product_annihilator(fam) != target.subspace:
+        # Theory decides: ann(x) contains ann(product) for every x.
+        assert (got.status, got.witness, got.tried) == ("none", None, 0)
+        assert got.reason == "ann(product) strictly contains the target"
+        assert w is None and status in ("none", "unknown")
+        return got
+    assert (got.status, got.tried, got.reason) == (status, tried, "")
+    if w is None:
+        assert got.witness is None
+    else:
+        assert [c.tolist() for c in got.witness.components] == [c.tolist() for c in w.components]
+        assert got.witness.valid and got.witness.orbit_dim == w.orbit_dim
+    return got
+
+
+def ut2_families(setup, max_factors=4):
+    a, s1, s2, reg = setup
+    pool = {"simple#0": s1, "simple#1": s2, "regular": reg}
+    for k in range(max_factors + 1):
+        for names in itertools.product(sorted(pool), repeat=k):
+            yield names, ProductFamily(a, tuple(pool[n] for n in names))
+
+
+def test_search_matches_the_per_candidate_scan_over_ut2():
+    setup = ut2_setup()
+    a = setup[0]
+    rad = jacobson_radical(a, 0)
+    statuses = set()
+    for names, fam in ut2_families(setup):
+        assert_search_matches_oracle(fam, zero_ideal(a))
+        if "regular" not in names:  # the radical annihilates the product
+            statuses.add(assert_search_matches_oracle(fam, rad).status)
+    assert statuses == {"found", "none"}
+
+
+def test_search_matches_the_per_candidate_scan_over_m2():
+    a = matrix_algebra(2, 2)
+    s = enumerate_irr(a, 0).points[0].rep
+    reg = regular_module(a)
+    for factors in [(s,), (s, s), (s, s, s), (reg,), (s, reg)]:
+        assert_search_matches_oracle(ProductFamily(a, factors), zero_ideal(a))
+
+
+def test_sampled_search_matches_the_per_candidate_scan():
+    a, s1, s2, reg = ut2_setup()
+    fam = ProductFamily(a, (s1, reg, reg, reg, reg))
+    assert fam.state_count() > EXHAUSTIVE_CAP
+    for seed in range(3):
+        assert assert_search_matches_oracle(fam, zero_ideal(a), seed).status == "found"
+    # Theory answers a sampled family whose scan could never succeed.
+    blind = ProductFamily(a, tuple([s1, s2] * 7))
+    assert blind.state_count() > EXHAUSTIVE_CAP
+    assert_search_matches_oracle(blind, zero_ideal(a), 0, budget=40)
+    # M2 over GF(67) on one copy of its natural module: ann(product) = 0, yet
+    # every orbit has dimension at most 2, so the budget runs out.
+    m2 = matrix_algebra(2, 67)
+    nat = ProductFamily(m2, (enumerate_irr(m2, 0).points[0].rep,))
+    assert nat.state_count() > EXHAUSTIVE_CAP
+    assert assert_search_matches_oracle(nat, zero_ideal(m2), 0, budget=40).status == "unknown"
+
+
+def test_search_spins_only_the_returned_witness(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(embeddings, "spin", counted("spin", spin))
+    monkeypatch.setattr(embeddings, "direct_sum", counted("direct_sum", direct_sum))
+    for names, fam in ut2_families(ut2_setup(), 3):
+        calls.clear()
+        out = find_embedding(fam, zero_ideal(fam.algebra), 0)
+        want = ["direct_sum", "spin"] if out.status == "found" else []
+        assert calls == want, names
+
+
+def test_orbit_dimension_is_codimension_of_the_annihilator():
+    """A.x is isomorphic to A/ann(x), so the spin of x in the direct sum has
+    dimension d - dim ann(x)."""
+    for a in gallery():
+        rng = np.random.default_rng(a.dim * a.p)
+        fam = ProductFamily(a, (regular_module(a),) + tuple(pt.rep for pt in enumerate_irr(a, 0).points))
+        big = direct_sum(a, list(fam.factors))
+        for _ in range(6):
+            comps = [rng.integers(0, a.p, size=f.n) * int(rng.integers(0, 2)) for f in fam.factors]
+            x = np.concatenate(comps)
+            assert spin(big, [x]).dim == a.dim - ann_of_vector(fam, comps).dim, a.name
+
+
+def test_sufficiency_check_matches_three_separate_splits(monkeypatch):
+    """One split of the regular module gives what chain_bound,
+    jacobson_radical and group_factors computed from three: the bound, and
+    'simple' as a zero radical with one simple class."""
+    calls = []
+
+    def counted(m, seed=0):
+        calls.append(m.n)
+        return composition_factors(m, seed)
+
+    for a in gallery():
+        reg = regular_module(a)
+        want_simple = jacobson_radical(a, 0).is_zero and len(group_factors(composition_factors(reg, 0))) == 1
+        want_bound = chain_bound(reg, 0)
+        with monkeypatch.context() as mp:
+            mp.setattr(embeddings, "composition_factors", counted)
+            calls.clear()
+            rep = sufficiency_check(a, ProductFamily(a, (reg,)), 0)
+        assert calls == [a.dim], a.name
+        assert (rep.bound, rep.algebra_simple) == (want_bound, want_simple), a.name
