@@ -151,15 +151,19 @@ def deletion_stability(fam: ProductFamily, target: Ideal, t: int) -> DeletionRep
         raise ValueError("deletion budget must be smaller than the factor count")
     a = fam.algebra
     anns = [annihilator(a, f).subspace for f in fam.factors]
+    meets: dict[frozenset[Subspace], Subspace] = {}  # keyed on the distinct kept annihilators
     failures = []
     checked = 0
     idx = range(len(fam.factors))
     for k in range(t + 1):
         for deleted in itertools.combinations(idx, k):
-            keep = [i for i in idx if i not in deleted]
-            sub = Subspace.full(a.dim, a.p)
-            for i in keep:
-                sub = sub.intersect(anns[i])
+            kept = frozenset(anns[i] for i in idx if i not in deleted)
+            sub = meets.get(kept)
+            if sub is None:
+                sub = Subspace.full(a.dim, a.p)
+                for s in kept:
+                    sub = sub.intersect(s)
+                meets[kept] = sub
             checked += 1
             if sub != target.subspace:
                 failures.append((deleted, sub.dim))

@@ -1,6 +1,9 @@
 """Randomized irreducibility testing and composition factors for matrix
 modules over GF(p), plus the Schur-lemma isomorphism test and the radical.
 
+Simples are grouped by annihilator: ann(S) is a maximal ideal and A/ann(S)
+has one simple module, so simples are isomorphic iff their annihilators agree.
+
 The split test: sample a singular element theta of the acting algebra's
 image. If every vector in ker(theta) generates the whole module, then the
 image of theta contains every maximal submodule (theta is onto each of
@@ -19,7 +22,7 @@ import numpy as np
 
 from .algebra import Algebra, Ideal
 from .linalg import Subspace, kernel, projective_vectors, rref
-from .modules import ModuleRep, annihilator, regular_module, spin, spin_matrices, sub_quotient
+from .modules import ModuleRep, annihilator, annihilator_subspace, regular_module, spin, spin_matrices, sub_quotient
 
 __all__ = [
     "MeatAxeError",
@@ -184,37 +187,37 @@ def is_isomorphic_simple(m1: ModuleRep, m2: ModuleRep) -> np.ndarray | None:
 
 
 def group_factors(factors: list[ModuleRep]) -> list[tuple[ModuleRep, int]]:
-    """Group a factor list by isomorphism, keeping first-found order."""
-    groups: list[tuple[ModuleRep, int]] = []
+    """Group a list of simple modules by isomorphism class, keeping
+    first-found order: one dict pass keyed on the annihilator subspace."""
+    groups: dict[Subspace, tuple[ModuleRep, int]] = {}
     for f in factors:
-        for i, (rep, cnt) in enumerate(groups):
-            if is_isomorphic_simple(rep, f) is not None:
-                groups[i] = (rep, cnt + 1)
-                break
-        else:
-            groups.append((f, 1))
-    return groups
+        key = annihilator_subspace(f)
+        rep, cnt = groups.get(key, (f, 0))
+        groups[key] = (rep, cnt + 1)
+    return list(groups.values())
+
+
+def _class_annihilators(a: Algebra, seed: int) -> list[Subspace]:
+    """One checked annihilator per simple class of the regular module."""
+    factors = composition_factors(regular_module(a), seed)
+    return [annihilator(a, rep).subspace for rep, _ in group_factors(factors)]
 
 
 def jacobson_radical(a: Algebra, seed: int = 0) -> Ideal:
-    """Intersection of the annihilators of the regular module's composition
-    factors (which exhaust the simple modules of an Artinian algebra)."""
-    factors = composition_factors(regular_module(a), seed)
+    """Intersection of the annihilators of the simple classes among the
+    regular module's composition factors (which exhaust the simple modules
+    of an Artinian algebra)."""
     sub = Subspace.full(a.dim, a.p)
-    for f in factors:
-        sub = sub.intersect(annihilator(a, f).subspace)
+    for s in _class_annihilators(a, seed):
+        sub = sub.intersect(s)
     return Ideal(a, sub, "two-sided")
 
 
 def is_semiprimitive(a: Algebra, ideal: Ideal, seed: int = 0) -> bool:
     """True iff the ideal is an intersection of simple-module annihilators;
     the empty intersection is the whole algebra."""
-    factors = composition_factors(regular_module(a), seed)
-    anns = []
-    for rep, _ in group_factors(factors):
-        anns.append(annihilator(a, rep).subspace)
     meet = Subspace.full(a.dim, a.p)
-    for s in anns:
+    for s in _class_annihilators(a, seed):
         if s.contains_space(ideal.subspace):
             meet = meet.intersect(s)
     return meet == ideal.subspace

@@ -16,6 +16,7 @@ __all__ = [
     "regular_module",
     "zero_module",
     "annihilator",
+    "annihilator_subspace",
     "vector_annihilator",
     "spin",
     "spin_matrices",
@@ -83,10 +84,15 @@ def zero_module(a: Algebra) -> ModuleRep:
     return ModuleRep(a, 0, np.zeros((a.dim, 0, 0), dtype=np.int64), label="zero")
 
 
+def annihilator_subspace(m: ModuleRep) -> Subspace:
+    """Algebra elements acting as zero on m, in RREF: the kernel of the
+    stacked action. Unchecked; ``annihilator`` adds the ideal self-check."""
+    return kernel(m.action.reshape(m.algebra.dim, m.n * m.n).T, m.p)
+
+
 def annihilator(a: Algebra, m: ModuleRep) -> Ideal:
     """Two-sided ideal of algebra elements acting as zero on m."""
-    stacked = m.action.reshape(a.dim, m.n * m.n).T  # (n*n, d)
-    sub = kernel(stacked, a.p)
+    sub = annihilator_subspace(m)
     # Annihilators of modules are two-sided; check closure as a self-check.
     if not is_ideal(a, sub, "two-sided"):
         raise AssertionError("module annihilator failed two-sided closure")

@@ -2,6 +2,13 @@
 finite-dimensional algebra, its Zariski topology of annihilator vanishing
 sets, and the refined closure operator driven by composition factors of
 finite products.
+
+Theory decides the topologies: class annihilators are distinct maximal
+ideals, so every point is Zariski-closed, and by Jordan-Hoelder a sum of
+simples has only its summands as factors. All three topologies are discrete;
+only ideals are computed (meets, vanishing sets, closed-form ideals), each
+meet checked against the Chinese remainder identity
+dim meet(S) = d - sum over i in S of codim ann(i).
 """
 
 from __future__ import annotations
@@ -11,9 +18,8 @@ from functools import cached_property
 
 from .algebra import Algebra, Ideal
 from .linalg import Subspace
-from .meataxe import composition_factors, group_factors, is_isomorphic_simple
-from .modules import ModuleRep, annihilator, direct_sum, regular_module
-from .pointclosure import lattice_problems
+from .meataxe import composition_factors, group_factors
+from .modules import ModuleRep, annihilator, annihilator_subspace, regular_module
 
 __all__ = [
     "IrrPoint",
@@ -30,6 +36,7 @@ __all__ = [
 
 ZARISKI_POINT_CAP = 16
 CLOSURE_POINT_CAP = 8
+_CRT_FAILURE = "annihilator meet breaks the Chinese remainder identity: classes are not distinct simples"
 
 
 @dataclass(frozen=True)
@@ -69,19 +76,15 @@ class IrrSpace:
         return _MeetLattice(self)
 
     def identify(self, simple: ModuleRep) -> int:
-        """Point id of a certified-simple module, by isomorphism."""
+        """Point id of a certified-simple module, looked up by annihilator
+        (the annihilator determines the class of a simple module)."""
+        if simple.algebra is not self.algebra:
+            raise ValueError("module lives over another algebra")
+        key = annihilator_subspace(simple)
         for pt in self.points:
-            if pt.dim == simple.n and is_isomorphic_simple(pt.rep, simple) is not None:
+            if pt.dim == simple.n and pt.ann.subspace == key:
                 return pt.id
         raise ValueError("simple module matches no enumerated class")
-
-
-def _mask(ids) -> int:
-    """Point set as a bitmask: bit i stands for point i."""
-    out = 0
-    for i in ids:
-        out |= 1 << i
-    return out
 
 
 def _ids(mask: int) -> frozenset[int]:
@@ -93,33 +96,25 @@ class _MeetLattice:
 
     meets[S] is the intersection of ann(i) over the points i in S, with
     meets[0] the whole algebra; meets[S] = meets[S - {max S}] & ann(max S)
-    costs one intersection per nonempty S. A point i lies in the closure of
-    S exactly when meets[S] is inside ann(i), that is when meets[S | i] and
-    meets[S] have equal dimension, so closures need no further linear
-    algebra.
+    costs one intersection per nonempty S, each checked to lower the
+    dimension by the codimension of ann(max S) (Chinese remainder). As every
+    ann(i) is proper, meets[S] then lies in ann(i) only for i in S.
     """
 
     def __init__(self, space: IrrSpace):
         n = len(space)
         if n > ZARISKI_POINT_CAP:
             raise ValueError(f"semiprimitive lattice capped at {ZARISKI_POINT_CAP} points")
-        self.n = n
-        meets = [Subspace.full(space.algebra.dim, space.algebra.p)]
+        d = space.algebra.dim
+        meets = [Subspace.full(d, space.algebra.p)]
         for s in range(1, 1 << n):
             top = s.bit_length() - 1
-            meets.append(meets[s ^ 1 << top].intersect(space.points[top].ann.subspace))
+            rest, ann = meets[s ^ 1 << top], space.points[top].ann.subspace
+            meet = rest.intersect(ann)
+            if meet.dim != rest.dim - (d - ann.dim):
+                raise AssertionError(_CRT_FAILURE)
+            meets.append(meet)
         self.meets = meets
-        self.dims = [m.dim for m in meets]
-        self.closed = [s for s in range(1 << n) if self.closure(s) == s]
-
-    def closure(self, s: int) -> int:
-        """Bitmask of the Zariski closure V(meets[s]) of the point set s."""
-        dims, d = self.dims, self.dims[s]
-        out = s
-        for i in range(self.n):
-            if dims[s | 1 << i] == d:
-                out |= 1 << i
-        return out
 
 
 def enumerate_irr(a: Algebra, seed: int = 0) -> IrrSpace:
@@ -166,37 +161,28 @@ def vanishing_set(space: IrrSpace, ideal: Ideal) -> ZClosed:
 
 def semiprimitive_subspaces(space: IrrSpace) -> dict[Subspace, frozenset[int]]:
     """All meets of point annihilators (including the empty meet, the whole
-    algebra), each mapped to its vanishing point set."""
-    lattice = space._lattice
-    return {lattice.meets[s]: _ids(s) for s in lattice.closed}
+    algebra), each mapped to its vanishing point set: one per point set, in
+    ascending bitmask order."""
+    return {meet: _ids(s) for s, meet in enumerate(space._lattice.meets)}
 
 
 def zariski_closed_family(space: IrrSpace) -> list[ZClosed]:
-    """All Zariski closed sets, deduplicated; asserts the family is closed
-    under union and intersection."""
+    """All Zariski closed sets: the power set of the points, each with the
+    meet of its annihilators."""
     family = [ZClosed(space, sub, ids) for sub, ids in semiprimitive_subspaces(space).items()]
     family.sort(key=lambda z: (len(z.point_ids), sorted(z.point_ids)))
-    if lattice_problems(frozenset(space._lattice.closed), len(space), limit=1):
-        raise AssertionError("Zariski closed family is not a lattice of sets")
     return family
 
 
 def refined_closure(space: IrrSpace, ids, seed: int = 0) -> frozenset[int]:
     """Least superset closed under taking classes of composition factors of
-    the product of one representative per member class."""
+    the product of one representative per member class. Those factors are
+    the members themselves (Jordan-Hoelder), so this checks that the ids lie
+    in the space and returns them; ``seed`` is unused."""
     current = frozenset(int(i) for i in ids)
     if not current <= space.all_ids():
         raise ValueError("point selection outside the space")
-    rng_seed = seed
-    for _ in range(len(space) + 1):
-        reps = [space.points[i].rep for i in sorted(current)]
-        prod = direct_sum(space.algebra, reps)
-        factors = composition_factors(prod, rng_seed)
-        grown = current | {space.identify(f) for f in factors}
-        if grown == current:
-            return current
-        current = grown
-    raise AssertionError("refined closure failed to stabilize within the point count")
+    return current
 
 
 @dataclass(frozen=True)
@@ -217,33 +203,21 @@ class FormReport:
 
 def verify_closed_form(space: IrrSpace, ids, seed: int = 0) -> FormReport:
     """Check a point set is refined-closed and decompose it as
-    vanishing-set-plus-finite-set, minimizing the finite part."""
-    selection = frozenset(int(i) for i in ids)
-    closure = refined_closure(space, selection, seed)
-    if closure != selection:
-        return FormReport(space, selection, False, closure)
-    best: tuple | None = None
-    for sub, vpts in semiprimitive_subspaces(space).items():
-        if not vpts <= selection:
-            continue
-        f = selection - vpts
-        key = (len(f), sorted(f), sorted(space.all_ids() - vpts))
-        if best is None or key < best[0]:
-            best = (key, sub, vpts, f)
-    if best is None:
-        return FormReport(space, selection, True, closure, found=False)
-    _, sub, vpts, f = best
-    # The meet over every point whose annihilator contains sub.
-    lattice = space._lattice
-    meet = lattice.meets[lattice.closure(_mask(vpts))]
+    vanishing-set-plus-finite-set, minimizing the finite part. Every point
+    set is closed, so the selection is its own vanishing set, with the meet
+    of its annihilators as ideal and no finite part; ``seed`` is unused."""
+    selection = refined_closure(space, ids, seed)
+    d = space.algebra.dim
+    meet = space.ann_meet(selection)
+    if meet.dim != d - sum(d - space.points[i].ann.dim for i in selection):
+        raise AssertionError(_CRT_FAILURE)
     return FormReport(
         space,
         selection,
         True,
-        closure,
+        selection,
         found=True,
-        ideal_subspace=sub,
-        v_points=vpts,
-        finite_part=frozenset(f),
-        ideal_semiprimitive=meet == sub,
+        ideal_subspace=meet,
+        v_points=selection,
+        ideal_semiprimitive=True,
     )

@@ -314,6 +314,21 @@ def test_cli_help_exits_0(capsys):
     assert "--seed" in capsys.readouterr().out
 
 
+def test_cli_parser_is_built_once_per_process(tmp_path, capsys):
+    alg = _write(tmp_path, "ut2.alg", UT2_PRESET)
+    cli._build_parser.cache_clear()
+    fresh = run(["irr", "--in", alg, "--bogus"])
+    assert fresh[0] == 2 and fresh[1].startswith("error: ") and "--bogus" in fresh[1]
+    parser = cli._build_parser()
+    assert run(["irr", "--in", alg, "--format", "structured"])[0] == 0
+    assert run(["radical", "--in", alg, "--format", "structured"])[0] == 0
+    assert run(["irr", "--in", alg, "--bogus"]) == fresh
+    assert run(["irr", "--help"]) == (0, "")
+    assert "--seed" in capsys.readouterr().out
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_cli_internal_error_exits_3_without_traceback(tmp_path, monkeypatch):
     def broken(args):
         raise AssertionError("composition factor dimensions do not sum\nto the module dimension")
@@ -353,6 +368,21 @@ def test_cli_selftest_deterministic():
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     assert "failed: 0" in out1
+
+
+@pytest.mark.parametrize(
+    "name, fake",
+    [
+        ("direct_sum", lambda real: lambda a, ms: real(a, ms + [cli.regular_module(a)])),  # an extra class
+        ("composition_factors", lambda real: lambda m, seed: real(m, seed) * 2),  # each class twice
+        ("is_isomorphic_simple", lambda real: lambda m1, m2: np.eye(m1.n, dtype=np.int64)),  # all alike
+    ],
+)
+def test_selftest_checks_the_factors_of_sums_of_simples(monkeypatch, name, fake):
+    check = "refined-closure-trivial-on-presets"
+    assert dict(cli._selftest_checks(0))[check]
+    monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+    assert not dict(cli._selftest_checks(0))[check]
 
 
 def test_cli_output_file(tmp_path):

@@ -1,0 +1,307 @@
+"""Simple classes keyed by annihilator, and the finite topologies decided by
+theorem.
+
+Over a finite-dimensional algebra ann(S) of a simple module is a maximal
+two-sided ideal with a simple Artinian quotient, so two simples are
+isomorphic exactly when their annihilators agree; every class is
+Zariski-closed; and by Jordan-Hoelder a direct sum of simples has only its
+summands as composition factors. The computations these facts made
+redundant are kept here as oracles and must agree with the fast paths on
+every gallery algebra: the pairwise-intertwiner grouping, the
+composition-factor refined closure, the minimal-finite-part closed-form
+search, the per-factor radical and the per-subfamily deletion fold."""
+
+import itertools
+import sys
+from dataclasses import fields
+
+import pytest
+
+from irrtop import meataxe
+from irrtop.algebra import Ideal
+from irrtop.embeddings import ProductFamily, deletion_stability
+from irrtop.linalg import Subspace
+from irrtop.meataxe import composition_factors, group_factors, is_isomorphic_simple, jacobson_radical
+from irrtop.modules import annihilator, direct_sum, regular_module
+from irrtop.presets import gallery, upper_triangular
+from irrtop.topology import (
+    FormReport,
+    IrrPoint,
+    IrrSpace,
+    enumerate_irr,
+    refined_closure,
+    semiprimitive_subspaces,
+    verify_closed_form,
+    zariski_closed_family,
+)
+
+SEEDS = range(3)
+
+
+# --- oracles: the computations the theorems made redundant ----------------
+
+
+def group_factors_oracle(factors):
+    """Pairwise intertwiner test against every group found so far."""
+    groups = []
+    for f in factors:
+        for i, (rep, cnt) in enumerate(groups):
+            if is_isomorphic_simple(rep, f) is not None:
+                groups[i] = (rep, cnt + 1)
+                break
+        else:
+            groups.append((f, 1))
+    return groups
+
+
+def identify_oracle(space, simple):
+    for pt in space.points:
+        if pt.dim == simple.n and is_isomorphic_simple(pt.rep, simple) is not None:
+            return pt.id
+    raise ValueError("simple module matches no enumerated class")
+
+
+def refined_closure_oracle(space, ids, seed):
+    """Grow the set by the classes of the composition factors of the sum of
+    its representatives until it stabilizes."""
+    current = frozenset(ids)
+    for _ in range(len(space) + 1):
+        prod = direct_sum(space.algebra, [space.points[i].rep for i in sorted(current)])
+        grown = current | {identify_oracle(space, f) for f in composition_factors(prod, seed)}
+        if grown == current:
+            return current
+        current = grown
+    raise AssertionError("refined closure failed to stabilize within the point count")
+
+
+def closed_sets_oracle(space):
+    """Every meet of point annihilators, found by intersecting each found
+    meet with every annihilator, mapped to its vanishing point set."""
+    found = {}
+    work = [Subspace.full(space.algebra.dim, space.algebra.p)]
+    while work:
+        sub = work.pop()
+        if sub in found:
+            continue
+        found[sub] = frozenset(pt.id for pt in space.points if pt.ann.subspace.contains_space(sub))
+        work.extend(sub.intersect(pt.ann.subspace) for pt in space.points)
+    return found
+
+
+def verify_closed_form_oracle(space, ids, seed):
+    """Search every vanishing set inside the selection for the smallest
+    finite remainder."""
+    selection = frozenset(ids)
+    closure = refined_closure_oracle(space, selection, seed)
+    if closure != selection:
+        return FormReport(space, selection, False, closure)
+    best = None
+    for sub, vpts in closed_sets_oracle(space).items():
+        if not vpts <= selection:
+            continue
+        f = selection - vpts
+        key = (len(f), sorted(f), sorted(space.all_ids() - vpts))
+        if best is None or key < best[0]:
+            best = (key, sub, vpts, f)
+    if best is None:
+        return FormReport(space, selection, True, closure, found=False)
+    _, sub, vpts, f = best
+    meet = space.ann_meet([pt.id for pt in space.points if pt.ann.subspace.contains_space(sub)])
+    return FormReport(
+        space,
+        selection,
+        True,
+        closure,
+        found=True,
+        ideal_subspace=sub,
+        v_points=vpts,
+        finite_part=frozenset(f),
+        ideal_semiprimitive=meet == sub,
+    )
+
+
+def jacobson_radical_oracle(a, seed):
+    """One checked annihilator per composition factor."""
+    sub = Subspace.full(a.dim, a.p)
+    for f in composition_factors(regular_module(a), seed):
+        sub = sub.intersect(annihilator(a, f).subspace)
+    return sub
+
+
+def deletion_stability_oracle(fam, target, t):
+    """Fold the kept annihilators afresh for every subfamily."""
+    a = fam.algebra
+    anns = [annihilator(a, f).subspace for f in fam.factors]
+    failures = []
+    checked = 0
+    idx = range(len(fam.factors))
+    for k in range(t + 1):
+        for deleted in itertools.combinations(idx, k):
+            sub = Subspace.full(a.dim, a.p)
+            for i in idx:
+                if i not in deleted:
+                    sub = sub.intersect(anns[i])
+            checked += 1
+            if sub != target.subspace:
+                failures.append((deleted, sub.dim))
+    return not failures, checked, tuple(failures)
+
+
+def _subsets(n):
+    return [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2**n)]
+
+
+def _report_fields(rep):
+    return tuple(getattr(rep, f.name) for f in fields(FormReport) if f.name != "space")
+
+
+# --- the fast paths against the oracles -------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grouping_matches_pairwise_intertwiners(seed):
+    for a in gallery():
+        reg = regular_module(a)
+        reps = [pt.rep for pt in enumerate_irr(a, seed).points]
+        for m in (reg, direct_sum(a, [reg] + reps + reps[::-1])):
+            factors = composition_factors(m, seed)
+            got, want = group_factors(factors), group_factors_oracle(factors)
+            assert [cnt for _, cnt in got] == [cnt for _, cnt in want], a.name
+            assert all(r is w for (r, _), (w, _) in zip(got, want)), a.name
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_identify_matches_intertwiner_oracle(seed):
+    for a in gallery():
+        space = enumerate_irr(a, seed)
+        for f in composition_factors(regular_module(a), seed):
+            assert space.identify(f) == identify_oracle(space, f), a.name
+
+
+def test_identify_rejects_a_module_over_another_algebra():
+    space = enumerate_irr(upper_triangular(2, 2), 0)
+    twin = enumerate_irr(upper_triangular(2, 2), 0)
+    with pytest.raises(ValueError, match="another algebra"):
+        space.identify(twin.points[0].rep)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_refined_closure_matches_composition_factor_oracle(seed):
+    for a in gallery():
+        space = enumerate_irr(a, seed)
+        for ids in _subsets(len(space)):
+            assert refined_closure(space, ids, seed) == refined_closure_oracle(space, ids, seed) == ids, a.name
+
+
+def test_refined_closure_rejects_ids_outside_the_space():
+    space = enumerate_irr(upper_triangular(2, 2), 0)
+    with pytest.raises(ValueError):
+        refined_closure(space, {0, 2}, 0)
+    with pytest.raises(ValueError):
+        verify_closed_form(space, {5}, 0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_closed_form_matches_minimal_finite_part_search(seed):
+    for a in gallery():
+        space = enumerate_irr(a, seed)
+        for ids in _subsets(len(space)):
+            got = verify_closed_form(space, ids, seed)
+            want = verify_closed_form_oracle(space, ids, seed)
+            assert _report_fields(got) == _report_fields(want), (a.name, sorted(ids))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_radical_matches_per_factor_intersection(seed):
+    for a in gallery():
+        assert jacobson_radical(a, seed).subspace == jacobson_radical_oracle(a, seed), a.name
+
+
+def _counting(monkeypatch, name):
+    """Replace every irrtop binding of `name` by a counting wrapper."""
+    calls = []
+    for modname, mod in list(sys.modules.items()):
+        if (modname == "irrtop" or modname.startswith("irrtop.")) and hasattr(mod, name):
+            inner = getattr(mod, name)
+
+            def counted(*args, _inner=inner, **kwargs):
+                calls.append(name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_fast_paths_never_test_isomorphism_or_build_sums(monkeypatch):
+    iso = _counting(monkeypatch, "is_isomorphic_simple")
+    sums = _counting(monkeypatch, "direct_sum")
+    for a in gallery():
+        space = enumerate_irr(a, 0)
+        for pt in space.points:
+            assert space.identify(pt.rep) == pt.id
+        for ids in _subsets(len(space)):
+            refined_closure(space, ids, 0)
+            verify_closed_form(space, ids, 0)
+    assert iso == [] and sums == []
+    # The counters do see calls made through the package.
+    meataxe.is_isomorphic_simple(space.points[0].rep, space.points[0].rep)
+    assert iso == ["is_isomorphic_simple"]
+
+
+def _fabricated_space():
+    """simple#0 of upper_triangular(2, 2) beside its regular module, which
+    is not simple: the two annihilators are not comaximal."""
+    a = upper_triangular(2, 2)
+    reg = regular_module(a)
+    first = enumerate_irr(a, 0).points[0]
+    return IrrSpace(a, (first, IrrPoint(1, reg.relabel("regular"), annihilator(a, reg))))
+
+
+def test_chinese_remainder_self_check_rejects_a_non_simple_point():
+    with pytest.raises(AssertionError, match="Chinese remainder"):
+        zariski_closed_family(_fabricated_space())
+    with pytest.raises(AssertionError, match="Chinese remainder"):
+        semiprimitive_subspaces(_fabricated_space())
+    with pytest.raises(AssertionError, match="Chinese remainder"):
+        verify_closed_form(_fabricated_space(), {0, 1}, 0)
+    # A set on which the identity holds still passes.
+    assert verify_closed_form(_fabricated_space(), {1}, 0).ideal_subspace.is_zero
+
+
+def test_deletion_stability_matches_per_subfamily_fold():
+    a = upper_triangular(2, 2)
+    s1, s2 = (pt.rep for pt in enumerate_irr(a, 0).points)
+    reg = regular_module(a)
+    families = [
+        (s1, s2),
+        (s1, s1, s2, reg),
+        (reg,) * 5,
+        (s1,) * 4 + (s2,) * 3,
+        (s2, reg, s1, s2, s1),
+    ]
+    targets = [
+        Ideal(a, Subspace.zero(a.dim, a.p), "two-sided"),
+        jacobson_radical(a, 0),
+        annihilator(a, s1),
+    ]
+    for factors in families:
+        fam = ProductFamily(a, factors)
+        for target, t in itertools.product(targets, range(min(3, len(factors)))):
+            rep = deletion_stability(fam, target, t)
+            assert (rep.ok, rep.checked, rep.failures) == deletion_stability_oracle(fam, target, t)
+
+
+def test_deletion_stability_meets_each_distinct_kept_set_once(monkeypatch):
+    a = upper_triangular(2, 2)
+    reg = regular_module(a)
+    calls = []
+    intersect = Subspace.intersect
+
+    def counted(self, other):
+        calls.append(1)
+        return intersect(self, other)
+
+    monkeypatch.setattr(Subspace, "intersect", counted)
+    rep = deletion_stability(ProductFamily(a, (reg,) * 17), Ideal(a, Subspace.zero(a.dim, a.p), "two-sided"), 2)
+    assert rep.ok and rep.checked == 1 + 17 + 136
+    assert len(calls) == 1
