@@ -15,6 +15,8 @@ import numpy as np
 from .linalg import Subspace, as_vector, validate_prime
 
 __all__ = [
+    "ALGEBRA_DIM_CAP",
+    "check_dim",
     "Algebra",
     "Ideal",
     "validate_algebra",
@@ -24,6 +26,21 @@ __all__ = [
     "quotient_algebra",
     "product_algebra",
 ]
+
+# Largest algebra dimension accepted from input: the structure constants are
+# a dense (d, d, d) int64 tensor, 23 MB at the cap, which admits
+# matrix_algebra(12, p) and upper_triangular(16, p).
+ALGEBRA_DIM_CAP = 144
+# Product entries per chunk of the associativity check.
+VALIDATE_CHUNK = 1 << 18
+
+
+def check_dim(d: int) -> int:
+    """The dimension d if it is within ALGEBRA_DIM_CAP; call before
+    allocating the structure constants."""
+    if d > ALGEBRA_DIM_CAP:
+        raise ValueError(f"algebra dimension {d} exceeds the cap {ALGEBRA_DIM_CAP}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -87,21 +104,22 @@ class Algebra:
 
 
 def validate_algebra(a: Algebra) -> list[str]:
-    """Every violated associativity/identity constraint; empty iff valid."""
+    """Every violated associativity/identity constraint; empty iff valid.
+
+    Associativity violations are reported in (i, j, k, l) order, the first
+    64 by name and the rest as a count."""
     report: list[str] = []
-    d, p, lam = a.dim, a.p, a.mul
+    d = a.dim
     if d == 0:
         report.append("zero-dimensional algebra has no identity element")
         return report
-    left = np.einsum("ijm,mkl->ijkl", lam, lam) % p
-    right = np.einsum("jkm,iml->ijkl", lam, lam) % p
-    bad = np.argwhere(left != right)
-    for i, j, k, _l in bad[:64]:
+    count, first = _associativity_violations(a.mul, a.p)
+    for i, j, k in first:
         report.append(
             f"associativity fails at ({a.basis_name(i)}*{a.basis_name(j)})*{a.basis_name(k)}"
         )
-    if len(bad) > 64:
-        report.append(f"... and {len(bad) - 64} more associativity violations")
+    if count > 64:
+        report.append(f"... and {count - 64} more associativity violations")
     lm = a.left_mult_matrix(a.one)
     rm = a.right_mult_matrix(a.one)
     eye = np.eye(d, dtype=np.int64)
@@ -110,6 +128,79 @@ def validate_algebra(a: Algebra) -> list[str]:
     if (rm != eye).any():
         report.append("identity element fails to act as identity on the right")
     return report
+
+
+def _associativity_violations(lam: np.ndarray, p: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """Count of keys (i, j, k, l) where (b_i b_j) b_k and b_i (b_j b_k)
+    differ in coordinate l, and the (i, j, k) of the first 64 in key order.
+
+    Only nonzero structure constants take part. With L[(i, j), m] =
+    lam[i, j, m] on its nonzero rows, the left side is L @ lam[m, (k, l)] and
+    the right side L @ lam[i, m, l] read as [(j, k), (i, l)], each on its
+    nonzero columns: nonzero rows x d x nonzero columns multiply-adds. The
+    products run in float64, which is exact: every sum is below
+    d * (p - 1)**2, which the Algebra bound d**2 * (p - 1)**3 < 2**63 and
+    p < 2**20 keep below 2**42. The sides are merged on key * p + value,
+    below d**4 * p (under 2**49 at ALGEBRA_DIM_CAP).
+
+    A chunk takes the keys with i in [i0, i1) and j in [j0, j1): on the left
+    the rows (i, j), on the right the rows (j, k) and columns (i, l). Chunks
+    hold whole i's when every i fits in VALIDATE_CHUNK product entries, else
+    ranges of j within one i, so beside the O(d**3) gathered operands at
+    most VALIDATE_CHUNK entries (or those of a single j, below 2 * d**2) are
+    alive.
+    """
+    d = lam.shape[0]
+    d2, d3 = d * d, d * d * d
+    rows = np.flatnonzero(lam.any(axis=2))  # (i, j): b_i b_j != 0
+    cols1 = np.flatnonzero(lam.any(axis=0))  # (k, l): l-coordinate of some b_m b_k
+    cols2 = np.flatnonzero(lam.any(axis=1))  # (i, l): l-coordinate of some b_i b_m
+    col_i, col_l = np.divmod(cols2, d)
+    pairs = lam.reshape(d2, d)[rows].astype(np.float64)
+    left_cols = lam.reshape(d, d2)[:, cols1].astype(np.float64)
+    right_cols = lam[col_i, :, col_l].T.astype(np.float64)
+    right_col_keys = col_i * d3 + col_l
+    # Per chunk, the slices of rows on the left, of rows on the right and of
+    # cols2. Product entries: one i gives its rows (i, .) times cols1 on the
+    # left and all rows times its columns (i, .) on the right; one (i, j)
+    # gives at most cols1 on the left and the rows (j, .) times the columns
+    # (i, .) on the right. An input that fits one chunk, as every small
+    # algebra does, skips the planning and its fixed numpy cost.
+    if len(rows) * (len(cols1) + len(cols2)) <= VALIDATE_CHUNK:
+        bounds = [(0, len(rows), 0, len(rows), 0, len(cols2))]
+    else:
+        row_count = np.bincount(rows // d, minlength=d)
+        col_count = np.bincount(col_i, minlength=d)
+        whole = VALIDATE_CHUNK // int((row_count * len(cols1) + len(rows) * col_count).max())
+        if whole:
+            chunks = [(i, min(i + whole, d), 0, d) for i in range(0, d, whole)]
+        else:
+            part = max(1, VALIDATE_CHUNK // (len(cols1) + int(row_count.max() * col_count.max())))
+            chunks = [(i, i + 1, j, min(j + part, d)) for i in range(d) for j in range(0, d, part)]
+        i0, i1, j0, j1 = np.array(chunks).T
+        bounds = zip(
+            *np.searchsorted(rows, [i0 * d + j0, (i1 - 1) * d + j1, j0 * d, j1 * d]),
+            *np.searchsorted(cols2, [i0 * d, i1 * d]),
+        )
+    count, first = 0, []
+    for r0, r1, s0, s1, c0, c1 in bounds:
+        left = _encoded(pairs[r0:r1] @ left_cols, rows[r0:r1] * d2, cols1, p)
+        right = np.sort(_encoded(pairs[s0:s1] @ right_cols[:, c0:c1], rows[s0:s1] * d, right_col_keys[c0:c1], p))
+        if np.array_equal(left, right):
+            continue
+        bad = np.unique(np.setxor1d(left, right, assume_unique=True) // p)
+        count += len(bad)
+        first.extend((int(key // d3), int(key // d2 % d), int(key // d % d)) for key in bad[: 64 - len(first)])
+    return count, first
+
+
+def _encoded(block: np.ndarray, row_keys: np.ndarray, col_keys: np.ndarray, p: int) -> np.ndarray:
+    """key * p + value for the nonzero entries, mod p, of an exact float64
+    product block, in row-major order; entry (r, c) has key
+    row_keys[r] + col_keys[c]."""
+    values = block.astype(np.int64)
+    values %= p
+    return ((row_keys[:, None] + col_keys) * p + values)[values != 0]
 
 
 @dataclass(frozen=True)
@@ -208,7 +299,7 @@ def product_algebra(parts: list[Algebra], name: str = "") -> Algebra:
     p = parts[0].p
     if any(q.p != p for q in parts):
         raise ValueError("product factors must share the prime field")
-    d = sum(q.dim for q in parts)
+    d = check_dim(sum(q.dim for q in parts))
     lam = np.zeros((d, d, d), dtype=np.int64)
     one = np.zeros(d, dtype=np.int64)
     names = []

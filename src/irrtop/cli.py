@@ -56,6 +56,7 @@ from .pointclosure import (
 from .presets import gallery, upper_triangular
 from .topology import (
     CLOSURE_POINT_CAP,
+    closed_form,
     enumerate_irr,
     refined_closure,
     vanishing_set,
@@ -332,15 +333,11 @@ def _cmd_compare(args) -> Doc:
     npts = len(space.points)
     if npts > CLOSURE_POINT_CAP:
         raise DomainError(f"compare enumerates subsets; capped at {CLOSURE_POINT_CAP} points")
-    zar = {z.point_ids for z in zariski_closed_family(space)}
+    reports = {z.point_ids: closed_form(space, z.point_ids, z.ideal_subspace) for z in zariski_closed_family(space)}
+    zar = set(reports)
     fin = FiniteSpace.make([pt.id for pt in space.points], zar)
     pc = point_closure(fin).point_sets()
-    reports = {}  # refined-closed set -> its closed-form report
-    for mask in range(2**npts):
-        rep = verify_closed_form(space, [i for i in range(npts) if mask >> i & 1], args.seed)
-        if rep.is_refined_closed:
-            reports[rep.selection] = rep
-    refined = set(reports)
+    refined = {ids for ids, rep in reports.items() if rep.is_refined_closed}
     powerset_count = 2**npts
     discrete = len(pc) == powerset_count and len(refined) == powerset_count and len(zar) == powerset_count
     all_equal = zar == pc == refined

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, check_dim
 from .linalg import PRIME_BOUND, is_prime
 from .modules import ModuleRep, regular_module, spin, sub_quotient
 from .presets import preset
@@ -272,6 +272,7 @@ def parse_algebra(text: str) -> tuple[AlgebraDoc | None, list[Diagnostic]]:
     doc = AlgebraDoc()
     diags: list[Diagnostic] = []
     seen_explicit = False
+    dim_refused = False  # a dim line was given but refused
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).rstrip()
         if not line.strip():
@@ -307,10 +308,14 @@ def parse_algebra(text: str) -> tuple[AlgebraDoc | None, list[Diagnostic]]:
             seen_explicit = True
         elif key == "dim":
             vals = _ints(rest)
-            if not vals or len(vals) != 1 or vals[0] < 1:
-                diags.append(Diagnostic(ln, col, "dim expects one positive integer"))
+            try:
+                if not vals or len(vals) != 1 or vals[0] < 1:
+                    raise ValueError("dim expects one positive integer")
+                doc.dim = check_dim(vals[0])
+            except ValueError as exc:
+                diags.append(Diagnostic(ln, col, str(exc)))
+                dim_refused = True
                 continue
-            doc.dim = vals[0]
             seen_explicit = True
         elif key == "one":
             vals = _ints(rest)
@@ -338,7 +343,7 @@ def parse_algebra(text: str) -> tuple[AlgebraDoc | None, list[Diagnostic]]:
     if not doc.preset_text:
         if doc.p is None:
             diags.append(Diagnostic(1, 1, "missing field: p"))
-        if doc.dim is None:
+        if doc.dim is None and not dim_refused:
             diags.append(Diagnostic(1, 1, "missing field: dim"))
         if not doc.one:
             diags.append(Diagnostic(1, 1, "missing field: one (identity coordinates)"))

@@ -111,14 +111,16 @@ def kernel(m: np.ndarray, p: int) -> "Subspace":
         return Subspace.zero(0, p)
     if nrows == 0:
         return Subspace.full(ncols, p)
-    r, rank, pivots = rref(m, p)
+    # Eliminate with the columns reversed. There the basis vector of a free
+    # column f is 1 at f, -r[i, f] at the pivot columns left of f and 0
+    # elsewhere, so in the original order its other entries lie right of its
+    # 1: the vectors, taken in reverse, are already the kernel's RREF.
+    r, rank, pivots = rref(m[:, ::-1], p)
     free = [c for c in range(ncols) if c not in pivots]
     rows = np.zeros((len(free), ncols), dtype=np.int64)
-    for t, f in enumerate(free):
-        rows[t, f] = 1
-        for i, c in enumerate(pivots):
-            rows[t, c] = (-r[i, f]) % p
-    return Subspace.from_rows(rows, p, ambient=ncols)
+    rows[np.arange(len(free)), free] = 1
+    rows[:, pivots] = (-r[:rank, free]).T % p
+    return Subspace(p, ncols, rows[::-1, ::-1].copy(), tuple(ncols - 1 - f for f in reversed(free)))
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

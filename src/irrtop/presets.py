@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, product_algebra
+from .algebra import Algebra, check_dim, product_algebra
 from .linalg import validate_prime
 
 __all__ = [
@@ -37,7 +37,7 @@ def matrix_algebra(n: int, p: int) -> Algebra:
     validate_prime(p)
     if n < 1:
         raise ValueError("matrix algebra needs n >= 1")
-    d = n * n
+    d = check_dim(n * n)
     idx = {(r, c): r * n + c for r in range(n) for c in range(n)}
     lam = np.zeros((d, d, d), dtype=np.int64)
     for (r, c), i in idx.items():
@@ -56,6 +56,7 @@ def upper_triangular(n: int, p: int) -> Algebra:
     validate_prime(p)
     if n < 1:
         raise ValueError("upper triangular algebra needs n >= 1")
+    check_dim(n * (n + 1) // 2)
     pairs = [(r, c) for r in range(n) for c in range(r, n)]
     idx = {rc: i for i, rc in enumerate(pairs)}
     d = len(pairs)
@@ -76,6 +77,7 @@ def truncated_polynomial(m: int, p: int) -> Algebra:
     validate_prime(p)
     if m < 1:
         raise ValueError("truncated polynomial algebra needs m >= 1")
+    check_dim(m)
     lam = np.zeros((m, m, m), dtype=np.int64)
     for i in range(m):
         for j in range(m):
@@ -92,6 +94,7 @@ def commutative_split(k: int, p: int) -> Algebra:
     validate_prime(p)
     if k < 1:
         raise ValueError("split commutative algebra needs k >= 1")
+    check_dim(k)
     lam = np.zeros((k, k, k), dtype=np.int64)
     for i in range(k):
         lam[i, i, i] = 1
@@ -121,7 +124,7 @@ def symmetric3_table() -> list[list[int]]:
 def group_algebra(table: list[list[int]], p: int, name: str = "") -> Algebra:
     """Group algebra from a multiplication table table[i][j] = index of g_i g_j."""
     validate_prime(p)
-    n = len(table)
+    n = check_dim(len(table))
     if any(len(row) != n for row in table):
         raise ValueError("group table must be square")
     lam = np.zeros((n, n, n), dtype=np.int64)
@@ -150,7 +153,7 @@ def _named_group_table(gname: str) -> list[list[int]]:
         n = int(g[1:])
         if n < 1:
             raise ValueError(f"bad cyclic group order in {gname!r}")
-        return cyclic_group_table(n)
+        return cyclic_group_table(check_dim(n))
     if g.upper() == "S3":
         return symmetric3_table()
     raise ValueError(f"unknown group name {gname!r} (expected Cn or S3)")

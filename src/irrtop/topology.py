@@ -31,6 +31,7 @@ __all__ = [
     "zariski_closed_family",
     "refined_closure",
     "FormReport",
+    "closed_form",
     "verify_closed_form",
 ]
 
@@ -201,14 +202,12 @@ class FormReport:
     ideal_semiprimitive: bool = False
 
 
-def verify_closed_form(space: IrrSpace, ids, seed: int = 0) -> FormReport:
-    """Check a point set is refined-closed and decompose it as
-    vanishing-set-plus-finite-set, minimizing the finite part. Every point
-    set is closed, so the selection is its own vanishing set, with the meet
-    of its annihilators as ideal and no finite part; ``seed`` is unused."""
-    selection = refined_closure(space, ids, seed)
+def closed_form(space: IrrSpace, selection: frozenset[int], meet: Subspace) -> FormReport:
+    """Decomposition of a point set whose annihilator meet is ``meet``.
+    Every point set is closed, so the selection is its own vanishing set,
+    with the meet as ideal and no finite part. The meet's dimension is
+    checked against the Chinese remainder identity."""
     d = space.algebra.dim
-    meet = space.ann_meet(selection)
     if meet.dim != d - sum(d - space.points[i].ann.dim for i in selection):
         raise AssertionError(_CRT_FAILURE)
     return FormReport(
@@ -221,3 +220,11 @@ def verify_closed_form(space: IrrSpace, ids, seed: int = 0) -> FormReport:
         v_points=selection,
         ideal_semiprimitive=True,
     )
+
+
+def verify_closed_form(space: IrrSpace, ids, seed: int = 0) -> FormReport:
+    """Check a point set is refined-closed and decompose it as
+    vanishing-set-plus-finite-set, minimizing the finite part (see
+    ``closed_form``); ``seed`` is unused."""
+    selection = refined_closure(space, ids, seed)
+    return closed_form(space, selection, space.ann_meet(selection))

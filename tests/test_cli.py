@@ -196,6 +196,19 @@ def test_cli_radical_and_compare(tmp_path):
     assert "summary: zariski = refined = point-closure = discrete (4 closed sets)" in out
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_cli_compare_reads_the_lattice_it_built(tmp_path, monkeypatch, n):
+    from irrtop.linalg import Subspace
+
+    calls = []
+    intersect = Subspace.intersect
+    monkeypatch.setattr(Subspace, "intersect", lambda u, v: calls.append(1) or intersect(u, v))
+    alg = _write(tmp_path, "cs.alg", f"preset: commutative_split({n}, 2)\n")
+    code, out = run(["compare", "--in", alg, "--format", "structured"])
+    assert code == 0 and out.count("finite_part:\n") == 2**n
+    assert len(calls) == 2**n - 1
+
+
 def test_cli_vset_and_zlattice(tmp_path):
     alg = _write(tmp_path, "ut2.alg", UT2_PRESET)
     code, out = run(["vset", "--in", alg, "--ideal", "0 1 0 ; 0 0 1", "--format", "structured"])

@@ -42,6 +42,18 @@ def intersect_oracle(u: Subspace, v: Subspace) -> Subspace:
     return Subspace.from_rows(rows, u.p, ambient=u.ambient)
 
 
+def kernel_oracle(m: np.ndarray, p: int) -> Subspace:
+    """One basis vector per free column, one pivot entry at a time."""
+    r, rank, pivots = rref(m, p)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    rows = np.zeros((len(free), m.shape[1]), dtype=np.int64)
+    for t, f in enumerate(free):
+        rows[t, f] = 1
+        for i, c in enumerate(pivots):
+            rows[t, c] = (-r[i, f]) % p
+    return Subspace.from_rows(rows, p, ambient=m.shape[1])
+
+
 def is_ideal_oracle(a: Algebra, s: Subspace, sided: str) -> bool:
     """One product and one membership test per basis element and row."""
     for row in s.basis:
@@ -223,6 +235,18 @@ def test_contains_space_requires_the_same_prime():
         Subspace.full(3, 3).contains_space(Subspace.zero(3, 2))
     with pytest.raises(ValueError, match="equal ambient space"):
         Subspace.full(3, 3).contains_space(Subspace.zero(2, 3))
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES + (LARGEST_PRIME,))
+def test_kernel_matches_the_free_column_loop(p):
+    rng = np.random.default_rng(200 + p)
+    for _ in range(40):
+        nrows, ncols, rank = (int(x) for x in rng.integers(1, 8, size=3))
+        m = rng.integers(0, p, size=(nrows, rank)) @ rng.integers(0, p, size=(rank, ncols)) % p
+        got = kernel(m, p)
+        assert_rref(got)
+        assert got == kernel_oracle(m, p)
+        assert got.dim == ncols - rref(m, p)[1] and not (m @ got.basis.T % p).any()
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES + (LARGEST_PRIME,))
