@@ -125,7 +125,7 @@ def _load_family(path: str, seed: int) -> tuple[Algebra, ProductFamily]:
     base = os.path.dirname(path) if path != "-" else "."
     try:
         a = docsmod.load_family_algebra(fdoc, base)
-    except (ValueError, OSError) as e:
+    except (docsmod.ParseFailure, OSError) as e:
         raise UsageError(str(e)) from e
     problems = validate_algebra(a)
     if problems:

@@ -33,6 +33,7 @@ __all__ = [
     "resolve_factors",
     "parse_preset_expr",
     "build_preset",
+    "ParseFailure",
 ]
 
 FORMAT_HEADER = "irrtop/1"
@@ -521,11 +522,18 @@ def parse_family(text: str) -> tuple[FamilyDoc | None, list[Diagnostic]]:
     return doc, []
 
 
+class ParseFailure(ValueError):
+    """A family's algebra line or algebra file that does not parse."""
+
+
 def load_family_algebra(doc: FamilyDoc, base_dir: str) -> Algebra:
+    """The algebra a family names. Raises ParseFailure for text that does
+    not parse, OSError for an unreadable file, and ValueError when the
+    algebra is refused (an unknown preset, a bound on dimension or modulus)."""
     if doc.algebra_kind == "preset":
         ast, err = parse_preset_expr(doc.algebra_text)
         if err:
-            raise ValueError(f"bad preset: {err[1]}")
+            raise ParseFailure(f"bad preset: {err[1]}")
         return build_preset(ast)
     path = doc.algebra_text
     if not os.path.isabs(path):
@@ -534,7 +542,7 @@ def load_family_algebra(doc: FamilyDoc, base_dir: str) -> Algebra:
         text = fh.read()
     adoc, diags = parse_algebra(text)
     if adoc is None:
-        raise ValueError(f"algebra file {path}: " + "; ".join(str(d) for d in diags))
+        raise ParseFailure(f"algebra file {path}: " + "; ".join(str(d) for d in diags))
     return build_algebra(adoc)
 
 

@@ -4,14 +4,37 @@ modules over GF(p), plus the Schur-lemma isomorphism test and the radical.
 Simples are grouped by annihilator: ann(S) is a maximal ideal and A/ann(S)
 has one simple module, so simples are isomorphic iff their annihilators agree.
 
-The split test: sample a singular element theta of the acting algebra's
-image. If every vector in ker(theta) generates the whole module, then the
-image of theta contains every maximal submodule (theta is onto each of
-them), so any nonzero functional vanishing on theta's image generates a
-proper dual submodule whenever a proper submodule exists at all. Hence one
-spin of a transposed-kernel vector under the transposed action settles
-irreducibility. Failures of either spin hand back an explicit proper
-submodule.
+``split`` samples up to RETRY_BUDGET random elements theta of the acting
+algebra's image and stops at the first certificate:
+
+* Singular theta with a small kernel (``SplitResult.method`` ``meataxe``,
+  ``meataxe-kernel``, ``meataxe-dual``). If every vector in ker(theta)
+  generates the whole module, then the image of theta contains every
+  maximal submodule (theta is onto each of them), so any nonzero functional
+  vanishing on theta's image generates a proper dual submodule whenever a
+  proper submodule exists at all. Hence one spin of a transposed-kernel
+  vector under the transposed action settles irreducibility.
+* Nonsingular theta (``charpoly``). Every submodule is theta-invariant, and
+  an invariant subspace of dimension k contributes a factor of degree k to
+  the characteristic polynomial chi_theta. So if chi_theta is irreducible of
+  degree n = dim M, the module is irreducible; nothing is spun.
+
+If no sample gives a certificate (at a large prime a random element is
+singular with probability about 1/p; on a module whose endomorphism field is
+larger than GF(p) every nonzero element may be invertible), the Holt-Rees
+test decides (Holt & Rees 1994; Ivanyos & Lux 2000 for repeated factors),
+drawing from a spawned generator so the caller's stream is not disturbed:
+
+* Holt-Rees (``holt-rees``, ``holt-rees-dual``). Let g be an irreducible
+  factor of chi_theta and N = ker g(theta). If dim N = deg g, then N is one
+  line over the field GF(p)[t]/(g), and the module is irreducible iff the
+  spin of one nonzero v in N is the whole module and the dual spin of one
+  nonzero w in ker g(theta)^T is the whole dual. For a proper submodule U,
+  either U meets N, so U contains N and v; or g(theta) is injective on U,
+  so g divides the characteristic polynomial on M/U, and U-perp, a proper
+  dual submodule, contains the line ker g(theta)^T and w.
+
+Failures of any spin hand back an explicit proper submodule.
 """
 
 from __future__ import annotations
@@ -21,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Ideal
+from .gfpoly import charpoly, factor, is_irreducible, poly_eval_matrix
 from .linalg import Subspace, kernel, projective_vectors, rref
 from .modules import ModuleRep, annihilator, annihilator_subspace, regular_module, spin, spin_matrices, sub_quotient
 
@@ -36,7 +60,8 @@ __all__ = [
     "is_semiprimitive",
 ]
 
-RETRY_BUDGET = 64
+RETRY_BUDGET = 64  # sampled elements looking for a certificate
+HOLT_REES_BUDGET = 64  # elements the Holt-Rees test may draw after that
 BRUTE_CAP = 4096
 KERNEL_LINE_CAP = 512
 
@@ -62,12 +87,15 @@ def _line_count(k: int, p: int) -> int:
 
 
 def _random_theta(m: ModuleRep, rng: np.random.Generator) -> np.ndarray:
-    """Uniform combination of the action matrices plus up to 3 degree-2 words."""
+    """Uniform combination of the action matrices plus up to 3 degree-2 words,
+    all coefficient vectors drawn first and mapped by one product."""
     p, d = m.p, m.algebra.dim
-    theta = m.act(rng.integers(0, p, size=d))
+    coeffs = [rng.integers(0, p, size=d)]
     for _ in range(int(rng.integers(0, 4))):
-        x = m.act(rng.integers(0, p, size=d))
-        y = m.act(rng.integers(0, p, size=d))
+        coeffs += [rng.integers(0, p, size=d), rng.integers(0, p, size=d)]
+    mats = np.einsum("ri,ikl->rkl", np.array(coeffs), m.action) % p
+    theta = mats[0]
+    for x, y in zip(mats[1::2], mats[2::2]):
         theta = (theta + x @ y) % p
     return theta
 
@@ -95,8 +123,11 @@ def brute_force_split(m: ModuleRep) -> SplitResult:
 def split(m: ModuleRep, seed: int = 0) -> SplitResult:
     """Certify irreducibility or return a proper nonzero submodule.
 
-    Deterministic for a fixed seed. Falls back to the brute-force scan when
-    sampling fails and p**n <= 4096; otherwise raises MeatAxeError.
+    Deterministic for a fixed seed. Samples up to RETRY_BUDGET elements for
+    a certificate (a singular element with a small kernel, or an irreducible
+    characteristic polynomial), then decides by the Holt-Rees test; raises
+    MeatAxeError only if that too stays inconclusive for HOLT_REES_BUDGET
+    elements.
     """
     rng = np.random.default_rng(seed)
     return _split(m, rng)
@@ -112,26 +143,67 @@ def _split(m: ModuleRep, rng: np.random.Generator) -> SplitResult:
         theta = _random_theta(m, rng)
         if not theta.any():
             continue
+        chi = charpoly(theta, p)
+        if chi[0]:  # chi(0) = det(-theta): theta is invertible
+            if is_irreducible(chi, p):
+                return SplitResult(True, None, "charpoly", attempt)
+            continue
         ker = kernel(theta, p)
-        if ker.dim == 0 or _line_count(ker.dim, p) > KERNEL_LINE_CAP:
+        if _line_count(ker.dim, p) > KERNEL_LINE_CAP:
             continue
         for c in projective_vectors(ker.dim, p):
             v = (c @ ker.basis) % p
             s = spin(m, [v])
             if s.dim < n:
                 return SplitResult(False, s, "meataxe-kernel", attempt)
-        kert = kernel(theta.T % p, p)
-        w = kert.basis[0]
-        dual = spin_matrices([m.action[i].T % p for i in range(m.algebra.dim)], [w], p, n)
+        w = kernel(theta.T % p, p).basis[0]
+        dual = spin_matrices(_dual_action(m), [w], p, n)
         if dual.dim < n:
-            sub = _perp(dual)
-            return SplitResult(False, sub, "meataxe-dual", attempt)
+            return SplitResult(False, _perp(dual), "meataxe-dual", attempt)
         return SplitResult(True, None, "meataxe", attempt)
-    if p**n <= BRUTE_CAP:
-        return brute_force_split(m)
+    return _holt_rees(m, rng.spawn(1)[0])
+
+
+def _dual_action(m: ModuleRep) -> np.ndarray:
+    return np.transpose(m.action, (0, 2, 1))
+
+
+def _random_member(s: Subspace, rng: np.random.Generator) -> np.ndarray:
+    """A uniform nonzero vector of a nonzero subspace."""
+    while True:
+        v = (rng.integers(0, s.p, size=s.dim) @ s.basis) % s.p
+        if v.any():
+            return v
+
+
+def _holt_rees(m: ModuleRep, rng: np.random.Generator) -> SplitResult:
+    """The Holt-Rees test on irreducible factors g of chi_theta, with
+    N = ker g(theta). A factor of multiplicity one has dim N = deg g, so the
+    first such factor settles the module. Without one, the factors are tried
+    in order of degree, and a spin of v in N that stays proper is still a
+    submodule: on a sum of copies of one simple S, a factor g of degree
+    dim End(S) with a one-line kernel on S puts every vector of N in a
+    proper submodule (Ivanyos & Lux)."""
+    p, n = m.p, m.n
+    for attempt in range(RETRY_BUDGET + 1, RETRY_BUDGET + HOLT_REES_BUDGET + 1):
+        theta = _random_theta(m, rng)
+        factors = factor(charpoly(theta, p), p, rng)
+        simple = [g for g, k in factors if k == 1]
+        for g in simple[:1] or [g for g, _ in factors]:
+            gt = poly_eval_matrix(g, theta, p)
+            null = kernel(gt, p)
+            s = spin(m, [_random_member(null, rng)])
+            if s.dim < n:
+                return SplitResult(False, s, "holt-rees", attempt)
+            if null.dim == len(g) - 1:
+                w = _random_member(kernel(gt.T, p), rng)
+                dual = spin_matrices(_dual_action(m), [w], p, n)
+                if dual.dim < n:
+                    return SplitResult(False, _perp(dual), "holt-rees-dual", attempt)
+                return SplitResult(True, None, "holt-rees", attempt)
     raise MeatAxeError(
-        f"no singular algebra element with a small kernel found in {RETRY_BUDGET} tries "
-        f"and {p}^{n} states exceed the brute-force cap"
+        f"no certificate in {RETRY_BUDGET} sampled elements and the Holt-Rees test "
+        f"stayed inconclusive for {HOLT_REES_BUDGET} more"
     )
 
 

@@ -297,6 +297,34 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "preset, message",
+    [
+        ("matrix_algebra(13, 2)", "algebra dimension 169 exceeds the cap 144"),
+        ("matrix_algebra(2, 1048573)", "modulus 1048573 too large for dimension 4"),
+    ],
+)
+def test_cli_refused_presets_exit_1_from_algebra_and_family_files(tmp_path, preset, message):
+    alg = _write(tmp_path, "big.alg", f"preset: {preset}\n")
+    fam = _write(tmp_path, "big.fam", f"algebra: preset {preset}\nfactor: regular\n")
+    via_file = _write(tmp_path, "via.fam", "algebra: file big.alg\nfactor: regular\n")
+    for argv in (["irr", "--in", alg], ["embed", "--in", fam], ["embed", "--in", via_file]):
+        code, out = run(argv + ["--format", "structured"])
+        assert code == 1 and out.startswith(f"error: {message}") and out.count("\n") == 1, argv
+
+
+def test_cli_family_parse_failures_and_unreadable_files_exit_2(tmp_path):
+    _write(tmp_path, "garbled.alg", "p: 2\n???\n")
+    families = [
+        "algebra: preset matrix_algebra(2, 2\nfactor: regular\n",
+        "algebra: file garbled.alg\nfactor: regular\n",
+        "algebra: file missing.alg\nfactor: regular\n",
+    ]
+    for i, text in enumerate(families):
+        code, out = run(["embed", "--in", _write(tmp_path, f"f{i}.fam", text), "--format", "structured"])
+        assert code == 2 and out.startswith("error: ") and out.count("\n") == 1, text
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["embed", "--in", "{fam}", "--budget", "-5"], "--budget"),

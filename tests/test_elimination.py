@@ -186,13 +186,8 @@ ALGEBRA_IDS = [a.name for a in gallery()] + ["M1/big", "T2/big", "C2/big"]
 
 
 def small_modules(a: Algebra):
-    """The simple modules at small primes. The meataxe rarely meets a
-    singular element at the largest prime, so there the pieces of the regular
-    module cut by the left ideal of the first basis element stand in."""
-    if a.p in SMALL_PRIMES:
-        return [pt.rep for pt in enumerate_irr(a, 0).points]
-    left = ideal_generated(a, [a.basis_vector(0)], "left").subspace
-    return list(sub_quotient(regular_module(a), left))
+    """One simple module per class, split off by the meataxe at every prime."""
+    return [pt.rep for pt in enumerate_irr(a, 0).points]
 
 
 # --- linalg ----------------------------------------------------------------

@@ -4,9 +4,15 @@ isomorphism testing, and the radical."""
 import numpy as np
 import pytest
 
-from irrtop.algebra import Ideal, quotient_algebra
-from irrtop.linalg import Subspace, projective_vectors, rref
+from irrtop import meataxe
+from irrtop.algebra import Algebra, Ideal, quotient_algebra, validate_algebra
+from irrtop.linalg import Subspace, kernel, projective_vectors, rref
 from irrtop.meataxe import (
+    HOLT_REES_BUDGET,
+    KERNEL_LINE_CAP,
+    RETRY_BUDGET,
+    MeatAxeError,
+    SplitResult,
     brute_force_split,
     composition_factors,
     group_factors,
@@ -15,8 +21,18 @@ from irrtop.meataxe import (
     jacobson_radical,
     split,
 )
-from irrtop.modules import ModuleRep, annihilator, check_module, regular_module, spin, sub_quotient
+from irrtop.modules import (
+    ModuleRep,
+    annihilator,
+    check_module,
+    direct_sum,
+    regular_module,
+    spin,
+    spin_matrices,
+    sub_quotient,
+)
 from irrtop.presets import (
+    commutative_split,
     cyclic_group_table,
     gallery,
     group_algebra,
@@ -188,7 +204,8 @@ def test_iso_finds_conjugates():
 
 def test_extension_field_endomorphisms_handled():
     # F2[C3] = F2 x F4: the 2-dim simple has a quadratic endomorphism field;
-    # the sampler finds no singular element there, so the fallback certifies.
+    # the sampler finds no singular element there, but every element outside
+    # F2 has an irreducible quadratic characteristic polynomial, which certifies.
     a = group_algebra(cyclic_group_table(3), 2)
     fs = composition_factors(regular_module(a), 0)
     assert sorted(f.n for f in fs) == [1, 2]
@@ -251,3 +268,255 @@ def test_split_deterministic_under_seed():
     assert r1.irreducible == r2.irreducible
     if r1.submodule is not None:
         assert r1.submodule == r2.submodule
+
+
+# --- the characteristic-polynomial certificate and the Holt-Rees test --------
+
+
+def random_theta_oracle(m, rng):
+    """Each coefficient vector mapped as it is drawn."""
+    p, d = m.p, m.algebra.dim
+    theta = m.act(rng.integers(0, p, size=d))
+    for _ in range(int(rng.integers(0, 4))):
+        x = m.act(rng.integers(0, p, size=d))
+        y = m.act(rng.integers(0, p, size=d))
+        theta = (theta + x @ y) % p
+    return theta
+
+
+def sampling_split_oracle(m, rng):
+    """The split before characteristic polynomials: sample singular elements
+    only, and scan every line by brute force when the samples run out."""
+    p, n = m.p, m.n
+    if n == 1:
+        return SplitResult(True, None, "dim1")
+    for attempt in range(1, RETRY_BUDGET + 1):
+        theta = random_theta_oracle(m, rng)
+        if not theta.any():
+            continue
+        ker = kernel(theta, p)
+        if ker.dim == 0 or meataxe._line_count(ker.dim, p) > KERNEL_LINE_CAP:
+            continue
+        for c in projective_vectors(ker.dim, p):
+            s = spin(m, [(c @ ker.basis) % p])
+            if s.dim < n:
+                return SplitResult(False, s, "meataxe-kernel", attempt)
+        w = kernel(theta.T % p, p).basis[0]
+        dual = spin_matrices([m.action[i].T % p for i in range(m.algebra.dim)], [w], p, n)
+        if dual.dim < n:
+            return SplitResult(False, meataxe._perp(dual), "meataxe-dual", attempt)
+        return SplitResult(True, None, "meataxe", attempt)
+    return meataxe.brute_force_split(m)
+
+
+def series_splits(m, seed):
+    """Every module the oracle's composition series splits, with the
+    generator state before the split and the oracle's result."""
+    rng = np.random.default_rng(seed)
+    out, stack = [], [m]
+    while stack:
+        cur = stack.pop()
+        if cur.n == 0:
+            continue
+        state = rng.bit_generator.state
+        res = sampling_split_oracle(cur, rng)
+        out.append((cur, state, res, rng.bit_generator.state))
+        if not res.irreducible:
+            sub, quot = sub_quotient(cur, res.submodule)
+            stack += [quot, sub]
+    return out
+
+
+def generator_at(state):
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state
+    return rng
+
+
+def is_proper_submodule(m, s):
+    if not 0 < s.dim < m.n:
+        return False
+    return all(s.contains((m.action[i] @ row) % m.p) for i in range(m.algebra.dim) for row in s.basis)
+
+
+def test_random_theta_matches_the_per_draw_products():
+    for i, m in enumerate(small_corpus(4096)):
+        rng, twin = np.random.default_rng(i), np.random.default_rng(i)
+        for _ in range(8):
+            assert meataxe._random_theta(m, rng).tolist() == random_theta_oracle(m, twin).tolist()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_split_matches_the_sampling_oracle_on_reducible_modules(seed):
+    reducible = irreducible = 0
+    for a in gallery():
+        for cur, before, want, after in series_splits(regular_module(a), seed):
+            rng = generator_at(before)
+            got = meataxe._split(cur, rng)
+            if want.irreducible:
+                irreducible += 1
+                assert got.irreducible, (a.name, cur.n)
+                continue
+            reducible += 1
+            assert (got.irreducible, got.submodule, got.method, got.tries) == (
+                False,
+                want.submodule,
+                want.method,
+                want.tries,
+            ), (a.name, cur.n)
+            assert rng.bit_generator.state == after
+    assert reducible > 20 and irreducible > 20
+
+
+def test_composition_factors_never_scan_by_brute_force(monkeypatch):
+    calls = []
+    brute = meataxe.brute_force_split
+    monkeypatch.setattr(meataxe, "brute_force_split", lambda m: calls.append(m.n) or brute(m))
+    fields = [
+        group_algebra(cyclic_group_table(3), 2),
+        group_algebra(cyclic_group_table(7), 2),
+        group_algebra(cyclic_group_table(21), 2),
+    ]
+    for a in gallery() + fields:
+        for seed in range(3):
+            fs = composition_factors(regular_module(a), seed)
+            assert sum(f.n for f in fs) == a.dim
+    assert calls == []
+    # The counter sees the scans the sampling oracle made on the same input.
+    series_splits(regular_module(fields[0]), 0)
+    assert calls
+
+
+def test_field_type_simples_are_certified_by_the_characteristic_polynomial():
+    a = group_algebra(cyclic_group_table(21), 2)
+    fs = composition_factors(regular_module(a), 7)
+    assert sorted(f.n for f in fs) == [1, 2, 3, 3, 6, 6]
+    for f in fs:
+        if f.n > 1:
+            for seed in range(5):
+                res = split(f, seed)
+                assert res.irreducible and res.method == "charpoly" and res.tries <= RETRY_BUDGET
+
+
+def holt_rees_corpus():
+    """Modules where sampling alone fails or is slow: large primes, field-type
+    simples, and sums of copies of one simple."""
+    c3 = group_algebra(cyclic_group_table(3), 2)
+    c7 = group_algebra(cyclic_group_table(7), 2)
+    m2 = matrix_algebra(2, 1009)
+    out = small_corpus(256)
+    for a in (c3, c7, m2, upper_triangular(3, 1009), truncated_polynomial(2, 1048573)):
+        reg = regular_module(a)
+        out.append(reg)
+        for f in composition_factors(reg, 0):
+            out.append(f)
+            out.append(direct_sum(a, [f, f]))
+    # The cyclic modules A e_i include uniserial ones: when the chosen factor
+    # belongs to the top, N misses the socle and only the dual spin splits.
+    for a in (upper_triangular(2, 2), upper_triangular(3, 1009)):
+        reg = regular_module(a)
+        out.extend(sub_quotient(reg, spin(reg, [a.basis_vector(i)]))[0] for i in range(a.dim))
+    return out
+
+
+def test_holt_rees_decides_against_brute_force():
+    methods = set()
+    for i, m in enumerate(holt_rees_corpus()):
+        res = meataxe._holt_rees(m, np.random.default_rng(i))
+        methods.add(res.method)
+        assert RETRY_BUDGET < res.tries <= RETRY_BUDGET + HOLT_REES_BUDGET
+        if res.irreducible:
+            assert res.method == "holt-rees"
+        else:
+            assert res.method in ("holt-rees", "holt-rees-dual") and is_proper_submodule(m, res.submodule)
+        if m.p**m.n <= 4096:
+            assert res.irreducible == brute_force_split(m).irreducible, m.label
+        elif m.n > 1:
+            # A sum of copies, or a regular module of a non-simple algebra.
+            assert not res.irreducible or len(composition_factors(m, 0)) == 1
+    assert methods == {"holt-rees", "holt-rees-dual"}
+
+
+def test_holt_rees_splits_sums_of_a_field_type_simple():
+    # F8 + F8 over F2[C7]: every element acts as one scalar of F8 on both
+    # copies, so no factor of its characteristic polynomial has multiplicity
+    # one and no sample is singular but zero. S is one line over End(S) = F8,
+    # so any vector of N spins to a copy of S.
+    a = group_algebra(cyclic_group_table(7), 2)
+    for f in composition_factors(regular_module(a), 0):
+        if f.n == 3:
+            twice = direct_sum(a, [f, f])
+            for seed in range(5):
+                res = meataxe._holt_rees(twice, np.random.default_rng(seed))
+                assert not res.irreducible and res.submodule.dim == 3 and is_proper_submodule(twice, res.submodule)
+
+
+def test_split_falls_back_to_holt_rees_after_the_sampling_budget(monkeypatch):
+    monkeypatch.setattr(meataxe, "RETRY_BUDGET", 0)
+    for m in small_corpus(64):
+        res = split(m, 0)
+        assert res.method in ("dim1", "holt-rees", "holt-rees-dual")
+        assert res.irreducible == brute_force_split(m).irreducible
+
+
+def test_holt_rees_fallback_leaves_the_shared_stream_alone(monkeypatch):
+    # The fallback draws from a spawned generator, not from the shared one.
+    a = group_algebra(cyclic_group_table(3), 2)
+    m = regular_module(a)
+    monkeypatch.setattr(meataxe, "RETRY_BUDGET", 0)
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    meataxe._split(m, rng)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_split_raises_when_the_holt_rees_test_stays_inconclusive(monkeypatch):
+    # With theta = 1 on a simple module, N = ker(theta - 1) is the whole
+    # module: every spin generates and dim N > deg g, so nothing is decided.
+    a = matrix_algebra(2, 3)
+    m = composition_factors(regular_module(a), 0)[0]
+    monkeypatch.setattr(meataxe, "_random_theta", lambda m, rng: np.eye(m.n, dtype=np.int64))
+    with pytest.raises(MeatAxeError, match="Holt-Rees"):
+        split(m, 0)
+
+
+@pytest.mark.parametrize(
+    "a, dims",
+    [
+        (commutative_split(2, 1048573), [1, 1]),
+        (truncated_polynomial(2, 1048573), [1, 1]),
+        (matrix_algebra(3, 101), [3, 3, 3]),
+    ],
+    ids=["CS2/big", "T2/big", "M3/101"],
+)
+def test_composition_factors_at_large_primes(a, dims):
+    for seed in range(3):
+        assert sorted(f.n for f in composition_factors(regular_module(a), seed)) == dims
+
+
+def matrices_over_quadratic_field(p):
+    """M_2(GF(p^2)) as a GF(p)-algebra of dimension 8: its simple module is
+    GF(p^2)^2, of dimension 4 over GF(p) with endomorphism field GF(p^2)."""
+    m2 = matrix_algebra(2, p)
+    if p == 2:
+        c0, c1 = 1, 1  # w^2 = w + 1
+    else:
+        c0, c1 = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1), 0  # w^2 = r
+    field = np.zeros((2, 2, 2), dtype=np.int64)
+    field[0, 0, 0] = field[0, 1, 1] = field[1, 0, 1] = 1
+    field[1, 1] = [c0, c1]
+    lam = np.einsum("ijk,abc->iajbkc", m2.mul, field).reshape(8, 8, 8)
+    return Algebra(p, 8, lam, np.kron(m2.one, [1, 0]), name=f"M2(GF({p}^2))")
+
+
+@pytest.mark.parametrize("p", [2, 1009])
+def test_holt_rees_splits_two_copies_of_a_simple_with_a_quadratic_field(p):
+    a = matrices_over_quadratic_field(p)
+    assert validate_algebra(a) == []
+    reg = regular_module(a)
+    simple = composition_factors(reg, 0)[0]
+    assert simple.n == 4 and [f.n for f in composition_factors(reg, 1)] == [4, 4]
+    for seed in range(6):
+        res = meataxe._holt_rees(reg, np.random.default_rng(seed))
+        assert not res.irreducible and res.submodule.dim == 4 and is_proper_submodule(reg, res.submodule)
+        assert meataxe._holt_rees(simple, np.random.default_rng(seed)).irreducible
