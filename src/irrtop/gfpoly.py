@@ -8,9 +8,8 @@ convolution or a matrix product has fewer than 2**23 terms, so int64 is exact.
 
 Arithmetic modulo a fixed monic f of degree n goes through a ``Modulus``:
 t**(n+j) mod f is precomputed for j < n - 1, so a product modulo f is one
-convolution and one matrix-vector product. Raising to the p-th power is
-GF(p)-linear, (sum c_i t**i)**p = sum c_i t**(i p), so from its second use it is
-one product with the Berlekamp matrix Q, whose rows are t**(i p) mod f.
+convolution and one matrix-vector product, and a power takes O(log e)
+products.
 """
 
 from __future__ import annotations
@@ -193,8 +192,6 @@ class Modulus:
         for j in range(n - 1):
             self._fold[j] = cur
             cur = (np.concatenate(([0], cur[:-1])) - cur[-1] * f[:n]) % p
-        self._q: np.ndarray | None = None
-        self._frobenius_calls = 0
 
     def lift(self, g) -> np.ndarray:
         """Residue of any polynomial."""
@@ -222,23 +219,6 @@ class Modulus:
                 base = self.mul(base, base)
         return result
 
-    def frobenius(self, a: np.ndarray) -> np.ndarray:
-        """a**p: one squaring at p = 2. Otherwise the first call powers, and
-        later calls use the Berlekamp matrix, built once on the second."""
-        p = self.p
-        if p == 2:
-            return self.mul(a, a)
-        if self._q is None:
-            self._frobenius_calls += 1
-            if self._frobenius_calls == 1:
-                return self.pow(a, p)
-            self._q = np.zeros((self.n, self.n), dtype=np.int64)
-            self._q[0, 0] = 1
-            tp = self.pow(self.lift(_T), p)
-            for i in range(1, self.n):
-                self._q[i] = self.mul(self._q[i - 1], tp)
-        return (a @ self._q) % p
-
 
 def _derivative(f: np.ndarray, p: int) -> np.ndarray:
     return trim((f[1:] * np.arange(1, len(f))) % p)
@@ -251,40 +231,18 @@ def _minus_t(h: np.ndarray, p: int) -> np.ndarray:
     return g
 
 
-ROOT_SCAN_BOUND = 1024  # below this prime, roots are found by evaluating at every point
-
-
-def _has_root(f: np.ndarray, p: int) -> bool:
-    """Whether f vanishes somewhere on GF(p): Horner's rule at all p points."""
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in f[::-1]:
-        acc = (acc * xs + c) % p
-    return not acc.all()
-
-
 def is_irreducible(f: np.ndarray, p: int) -> bool:
     """Ben-Or: f of degree n is irreducible iff it has no factor of degree
-    i <= n/2, i.e. gcd(f, t**(p**i) - t) = 1 for every such i. For small p a
-    scan for roots settles degree one first (and with it n <= 3); a repeated
-    factor is caught by gcd(f, f')."""
+    i <= n/2, i.e. gcd(f, t**(p**i) - t) = 1 for every such i. A repeated
+    factor g**2 is caught too: gcd(g**2, t**(p**k) - t) = g for k = deg g."""
     f = monic(f, p)
     n = len(f) - 1
     if n < 1:
         return False
-    if n == 1:
-        return True
-    if p < ROOT_SCAN_BOUND:
-        if _has_root(f, p):
-            return False
-        if n <= 3:
-            return True
-    if len(poly_gcd(f, _derivative(f, p), p)) > 1:
-        return False
     ring = Modulus(f, p)
     h = ring.lift(_T)
     for _ in range(n // 2):
-        h = ring.frobenius(h)
+        h = ring.pow(h, p)
         if len(poly_gcd(f, _minus_t(h, p), p)) > 1:
             return False
     return True
@@ -327,7 +285,7 @@ def distinct_degree_factorization(f: np.ndarray, p: int) -> list[tuple[np.ndarra
     rest, d = f, 0
     while len(rest) - 1 >= 2 * (d + 1):
         d += 1
-        h = ring.frobenius(h)
+        h = ring.pow(h, p)
         g = poly_gcd(rest, _minus_t(h, p), p)
         if len(g) > 1:
             out.append((g, d))
@@ -353,7 +311,7 @@ def equal_degree_split(f: np.ndarray, d: int, p: int, rng: np.random.Generator) 
         h = rng.integers(0, p, size=n)
         acc, w = h.copy(), h
         for _ in range(d - 1):
-            w = ring.frobenius(w)
+            w = ring.pow(w, p)
             acc = (acc + w) % p if p == 2 else ring.mul(acc, w)
         if p != 2:
             acc = ring.pow(acc, (p - 1) // 2)

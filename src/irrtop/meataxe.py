@@ -87,15 +87,12 @@ def _line_count(k: int, p: int) -> int:
 
 
 def _random_theta(m: ModuleRep, rng: np.random.Generator) -> np.ndarray:
-    """Uniform combination of the action matrices plus up to 3 degree-2 words,
-    all coefficient vectors drawn first and mapped by one product."""
+    """Uniform combination of the action matrices plus up to 3 degree-2 words."""
     p, d = m.p, m.algebra.dim
-    coeffs = [rng.integers(0, p, size=d)]
+    theta = m.act(rng.integers(0, p, size=d))
     for _ in range(int(rng.integers(0, 4))):
-        coeffs += [rng.integers(0, p, size=d), rng.integers(0, p, size=d)]
-    mats = np.einsum("ri,ikl->rkl", np.array(coeffs), m.action) % p
-    theta = mats[0]
-    for x, y in zip(mats[1::2], mats[2::2]):
+        x = m.act(rng.integers(0, p, size=d))
+        y = m.act(rng.integers(0, p, size=d))
         theta = (theta + x @ y) % p
     return theta
 
@@ -143,12 +140,11 @@ def _split(m: ModuleRep, rng: np.random.Generator) -> SplitResult:
         theta = _random_theta(m, rng)
         if not theta.any():
             continue
-        chi = charpoly(theta, p)
-        if chi[0]:  # chi(0) = det(-theta): theta is invertible
-            if is_irreducible(chi, p):
+        ker = kernel(theta, p)
+        if ker.dim == 0:
+            if is_irreducible(charpoly(theta, p), p):
                 return SplitResult(True, None, "charpoly", attempt)
             continue
-        ker = kernel(theta, p)
         if _line_count(ker.dim, p) > KERNEL_LINE_CAP:
             continue
         for c in projective_vectors(ker.dim, p):

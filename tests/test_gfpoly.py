@@ -301,7 +301,7 @@ def test_gcd_and_divmod_match_the_naive_loops(fp, gp):
 
 
 @given(poly_and_prime(max_deg=8, monic_only=True), st.lists(st.integers(0, 10**6), max_size=8), st.integers(0, 40))
-def test_powmod_and_frobenius_match_repeated_products(fp, hs, e):
+def test_powmod_matches_repeated_products_and_frobenius_linearity(fp, hs, e):
     f, p = fp
     if len(trim(f)) < 2:
         return
@@ -311,9 +311,10 @@ def test_powmod_and_frobenius_match_repeated_products(fp, hs, e):
     for _ in range(e):
         naive = divmod_oracle(mul_oracle(naive, h.tolist(), p), f.tolist(), p)[1]
     assert trim(ring.pow(h, e)).tolist() == divmod_oracle(naive, f.tolist(), p)[1]
-    # The first Frobenius call powers; later calls go through the Q matrix.
-    want = h
-    for _ in range(3):
-        want = ring.pow(want, p)
-        h = ring.frobenius(h)
-        assert h.tolist() == want.tolist()
+    # The p-th power is GF(p)-linear: h**p = sum h_i (t**p)**i.
+    tp = ring.pow(ring.lift(np.array([0, 1])), p)
+    want, ti = ring.lift(np.array([0])), ring.lift(np.array([1]))
+    for c in h:
+        want = (want + int(c) * ti) % p
+        ti = ring.mul(ti, tp)
+    assert ring.pow(h, p).tolist() == want.tolist()
