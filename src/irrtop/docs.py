@@ -9,6 +9,7 @@ byte-identical and can be re-ingested.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,12 @@ def _tokenize(s: str):
     return toks
 
 
+# Deepest nesting of preset calls a preset expression may have. The parser
+# recurses once per level, so the cap keeps it far from the interpreter's
+# recursion limit.
+PRESET_NESTING_CAP = 32
+
+
 def parse_preset_expr(s: str):
     """Parse ``name(arg, ...)`` with integer, identifier, or nested preset
     arguments. Returns (ast, error) where error is (col, message) or None.
@@ -174,7 +181,7 @@ def parse_preset_expr(s: str):
     toks = _tokenize(s)
     pos = 0
 
-    def atom():
+    def atom(depth=0):
         nonlocal pos
         if pos >= len(toks):
             return None, (len(s), "unexpected end of preset expression")
@@ -183,13 +190,15 @@ def parse_preset_expr(s: str):
             return None, (col + 1, f"unexpected {tok!r} in preset expression")
         pos += 1
         if pos < len(toks) and toks[pos][0] == "(":
+            if depth == PRESET_NESTING_CAP:
+                return None, (col + 1, f"preset calls nested deeper than {PRESET_NESTING_CAP}")
             pos += 1
             args = []
             if pos < len(toks) and toks[pos][0] == ")":
                 pos += 1
                 return ("call", tok, args), None
             while True:
-                node, err = atom()
+                node, err = atom(depth + 1)
                 if err:
                     return None, err
                 args.append(node)
@@ -204,7 +213,10 @@ def parse_preset_expr(s: str):
                     return ("call", tok, args), None
                 return None, (c + 1, "expected ',' or ')'")
         if tok.lstrip("-").isdigit():
-            return int(tok), None
+            value = _int(tok)
+            if value is None:
+                return None, (col + 1, "malformed integer in preset expression")
+            return value, None
         return tok, None
 
     node, err = atom()
@@ -259,13 +271,25 @@ def _strip_comment(raw: str) -> str:
     return raw
 
 
+def _int(token: str) -> int | None:
+    """The value of an optionally signed ASCII decimal integer, else None.
+    Other Unicode digits, repeated signs and numbers longer than int()
+    converts are refused here, so no parser raises on them."""
+    if re.fullmatch(r"-?[0-9]+", token) is None:
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+
+
 def _ints(text: str):
-    parts = text.split()
     out = []
-    for t in parts:
-        if not t.lstrip("-").isdigit():
+    for t in text.split():
+        value = _int(t)
+        if value is None:
             return None
-        out.append(int(t))
+        out.append(value)
     return out
 
 
@@ -467,10 +491,11 @@ def parse_family(text: str) -> tuple[FamilyDoc | None, list[Diagnostic]]:
                 factors.append(FactorSpec("regular"))
             elif head.startswith("simple#"):
                 num = head[len("simple#"):]
-                if not num.isdigit() or tail:
+                index = _int(num) if num.isdigit() else None
+                if index is None or tail:
                     diags.append(Diagnostic(ln, col, "simple factor expects 'simple#<k>'"))
                     continue
-                factors.append(FactorSpec("simple", index=int(num)))
+                factors.append(FactorSpec("simple", index=index))
             elif head == "quotient":
                 gens = []
                 ok = True

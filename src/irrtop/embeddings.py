@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Ideal, quotient_algebra
-from .linalg import Subspace, all_vectors, as_vector, kernel, projective_vectors
+from .linalg import Subspace, all_vectors, as_vector, kernel, projective_vectors, ranks, rref
 from .meataxe import composition_factors
 from .modules import (
     ModuleRep,
@@ -26,7 +26,6 @@ from .modules import (
     direct_sum,
     regular_module,
     spin,
-    vector_annihilator,
 )
 
 __all__ = [
@@ -54,6 +53,9 @@ __all__ = [
 EXHAUSTIVE_CAP = 4096
 CANDIDATE_CAP = 256
 SAMPLE_BUDGET = 64
+# Most (candidate, row, column) entries one rank test of the witness scan
+# stacks at once.
+RANK_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,18 @@ class ProductFamily:
         return self.algebra.p ** self.total_dim
 
 
+def _images(fam: ProductFamily, comps, count: int) -> np.ndarray:
+    """Images of `count` elements of the product under the algebra basis, as
+    an (count, total_dim, d) stack: column i of matrix k holds b_i applied to
+    element k, factor by factor. comps holds one (count, f.n) array per
+    factor."""
+    a = fam.algebra
+    parts = [np.einsum("irl,kl->kri", f.action, c) for f, c in zip(fam.factors, comps)]
+    if not parts:
+        return np.zeros((count, 0, a.dim), dtype=np.int64)
+    return np.concatenate(parts, axis=1) % a.p
+
+
 def ann_of_vector(fam: ProductFamily, components) -> Ideal:
     """Left annihilator of an element of the product, one component vector
     per factor: the kernel of the stacked images of the element under the
@@ -95,10 +109,21 @@ def ann_of_vector(fam: ProductFamily, components) -> Ideal:
     if len(components) != len(fam.factors):
         raise ValueError("one component per factor required")
     a = fam.algebra
-    # Column i holds b_i applied to the element, factor by factor.
-    images = [(f.action @ as_vector(v, a.p)).T for f, v in zip(fam.factors, components)]
-    stacked = np.vstack(images) if images else np.zeros((0, a.dim), dtype=np.int64)
-    return Ideal(a, kernel(stacked, a.p), "left")
+    comps = [as_vector(v, a.p).reshape(1, f.n) for f, v in zip(fam.factors, components)]
+    return Ideal(a, kernel(_images(fam, comps, 1)[0], a.p), "left")
+
+
+def _factor_annihilators(a: Algebra, factors) -> list[Subspace]:
+    """The annihilator of each factor. Factors with equal actions share one
+    annihilator, computed and checked once."""
+    by_action: dict[bytes, Subspace] = {}
+    out = []
+    for f in factors:
+        key = f.action.tobytes()
+        if key not in by_action:
+            by_action[key] = annihilator(a, f).subspace
+        out.append(by_action[key])
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,7 +175,7 @@ def deletion_stability(fam: ProductFamily, target: Ideal, t: int) -> DeletionRep
     if t >= len(fam.factors) and len(fam.factors) > 0:
         raise ValueError("deletion budget must be smaller than the factor count")
     a = fam.algebra
-    anns = [annihilator(a, f).subspace for f in fam.factors]
+    anns = _factor_annihilators(a, fam.factors)
     meets: dict[frozenset[Subspace], Subspace] = {}  # keyed on the distinct kept annihilators
     failures = []
     checked = 0
@@ -193,30 +218,52 @@ def find_embedding(
     candidates are every element when the product has at most 4096 of them,
     else `budget` seeded random draws; a candidate passes when ann(x) equals
     the target. Since A.x is isomorphic to A/ann(x), its orbit then has the
-    right dimension, which one spin of the returned witness verifies."""
+    right dimension, which one spin of the returned witness verifies.
+
+    Once the scan starts the target is ann(product), which every ann(x)
+    contains, so ann(x) equals it exactly when the images of x under the
+    algebra basis have rank d - dim target. Candidates are ranked in chunks,
+    in scan order: the first chunk holds one candidate and each next one
+    twice as many, up to RANK_CHUNK_ENTRIES stacked entries, so a scan that
+    succeeds early draws at most about twice the candidates it needs."""
     a = fam.algebra
     prod_ann = Subspace.full(a.dim, a.p)
-    for f in fam.factors:
-        prod_ann = prod_ann.intersect(annihilator(a, f).subspace)
+    for s in dict.fromkeys(_factor_annihilators(a, fam.factors)):
+        prod_ann = prod_ann.intersect(s)
     if not prod_ann.contains_space(target.subspace):
         raise ValueError("target ideal must annihilate the whole product")
     if prod_ann != target.subspace:
         return SearchOutcome("none", None, 0, "ann(product) strictly contains the target")
     exhaustive = fam.state_count() <= EXHAUSTIVE_CAP
     if exhaustive:
-        candidates = itertools.product(*[list(all_vectors(f.n, a.p)) for f in fam.factors])
+        # itertools.product order: the first factor varies slowest.
+        tables = [np.array(list(all_vectors(f.n, a.p))).reshape(a.p**f.n, f.n) for f in fam.factors]
+        total = fam.state_count()
     else:
         rng = np.random.default_rng(seed)
-        candidates = ([rng.integers(0, a.p, size=f.n) for f in fam.factors] for _ in range(budget))
-    tried = 0
-    for comps in candidates:
-        tried += 1
-        if ann_of_vector(fam, comps).subspace == target.subspace:
-            w = _witness(fam, comps, target)
+        total = budget
+    want = a.dim - target.dim
+    largest = max(1, RANK_CHUNK_ENTRIES // max(1, fam.total_dim * a.dim))
+    start, size = 0, 1
+    while start < total:
+        count = min(size, total - start)
+        if exhaustive:
+            index, stride, comps = np.arange(start, start + count), total, []
+            for t in tables:
+                stride //= len(t)
+                comps.append(t[(index // stride) % len(t)])
+        else:
+            draws = [[rng.integers(0, a.p, size=f.n) for f in fam.factors] for _ in range(count)]
+            comps = [np.array([d[j] for d in draws]).reshape(count, f.n) for j, f in enumerate(fam.factors)]
+        hits = np.flatnonzero(ranks(_images(fam, comps, count), a.p) == want)
+        if hits.size:
+            k = int(hits[0])
+            w = _witness(fam, [c[k] for c in comps], target)
             if not w.valid:
                 raise AssertionError("search witness has the target annihilator but not its orbit dimension")
-            return SearchOutcome("found", w, tried)
-    return SearchOutcome("none" if exhaustive else "unknown", None, tried)
+            return SearchOutcome("found", w, start + k + 1)
+        start, size = start + count, min(2 * size, largest)
+    return SearchOutcome("none" if exhaustive else "unknown", None, start)
 
 
 @dataclass(frozen=True)
@@ -263,22 +310,42 @@ def _candidate_vectors(n: int, p: int, rng: np.random.Generator):
             yield v
 
 
+def _meet_matrix(f: ModuleRep, s: Subspace, y) -> np.ndarray:
+    """Row j is s's basis vector w_j acting on y: for a basis W of s,
+    s & ann(y) = {cW : c.(W.Y) = 0}, row i of Y being b_i.y."""
+    return (s.basis @ ((f.action @ y) % f.p)) % f.p
+
+
+def _meet(f: ModuleRep, s: Subspace, y) -> Subspace:
+    """s & ann(y), from the kernel of the meet matrix."""
+    coeffs = kernel(_meet_matrix(f, s, y).T, f.p)
+    return Subspace.from_rows((coeffs.basis @ s.basis) % f.p, f.p, ambient=s.ambient)
+
+
 def _best_vector(f: ModuleRep, mat: np.ndarray, running: Subspace, rng, slab: Subspace | None = None):
     """Among the candidate vectors y of f moved by mat, the first that
     minimizes dim(running & ann(y)), measured inside slab when given; the
     scan stops early at dimension 0. Returns (measured, y, running & ann(y)),
-    or None when mat moves no candidate."""
+    or None when mat moves no candidate.
+
+    A candidate is scored by one rank: with W = running & slab (or running),
+    the measured dimension is dim W - rank(W.Y). Only the winner's meets are
+    built."""
+    w = running if slab is None else running.intersect(slab)
     best = None
     for y in _candidate_vectors(f.n, f.p, rng):
         if not ((mat @ y) % f.p).any():
             continue
-        meet = running.intersect(vector_annihilator(f, y))
-        measured = meet if slab is None else meet.intersect(slab)
-        if best is None or measured.dim < best[0].dim:
-            best = (measured, np.array(y, dtype=np.int64), meet)
-        if measured.dim == 0:
+        dim = w.dim - rref(_meet_matrix(f, w, y), f.p)[1]
+        if best is None or dim < best[0]:
+            best = (dim, np.array(y, dtype=np.int64))
+        if dim == 0:
             break
-    return best
+    if best is None:
+        return None
+    y = best[1]
+    meet = _meet(f, running, y)
+    return (meet if slab is None else _meet(f, w, y)), y, meet
 
 
 def staged_product_embedding(
@@ -324,9 +391,9 @@ def staged_product_embedding(
     used = [False] * len(work_factors)
     chosen: dict[int, np.ndarray] = {}
     records: list[StageRecord] = []
+    eye = np.eye(d, dtype=np.int64)
     for stage in range(1, d + 1):
-        slab_rows = np.stack([np.eye(d, dtype=np.int64)[order[i]] for i in range(stage)])
-        slab = Subspace.from_rows(slab_rows, work_alg.p, ambient=d)
+        slab = Subspace.from_rows(eye[list(order[:stage])], work_alg.p, ambient=d)
         accum = Subspace.full(d, work_alg.p)
         blocked = slab
         picks: list[StagePick] = []
@@ -484,7 +551,7 @@ def sufficiency_check(a: Algebra, fam: ProductFamily, seed: int = 0) -> Sufficie
     algebra is simple (zero radical, one simple class) iff any one of its
     simple modules is faithful: a finite-dimensional algebra with a faithful
     simple module is primitive, hence simple Artinian."""
-    faithful = sum(1 for f in fam.factors if annihilator(a, f).is_zero)
+    faithful = sum(1 for s in _factor_annihilators(a, fam.factors) if s.is_zero)
     factors = composition_factors(regular_module(a), seed)
     bound = len(factors) + 2  # chain_bound of the regular module
     simple = bool(factors) and annihilator(a, factors[0]).is_zero

@@ -18,6 +18,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "rref",
+    "ranks",
     "kernel",
     "solve",
     "all_vectors",
@@ -101,6 +102,37 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
         pivots.append(c)
         pr += 1
     return r, pr, pivots
+
+
+def ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """Rank over GF(p) of each matrix in an (N, m, n) stack.
+
+    All matrices are eliminated together, one column at a time, over the
+    shorter side (rank(M) = rank(M^T)). In each matrix the first row q that
+    is nonzero in column c, with entry v there, is the pivot, and every row
+    r becomes v*r - r[c]*q. That clears column c, q included, and the rows
+    left span a space one dimension smaller, so each pivot counts one.
+    Columns before c are already zero, so only those after it are updated.
+    Products stay below p**2 < 2**40."""
+    r = np.array(stack, dtype=np.int64) % p
+    if r.ndim != 3:
+        raise ValueError("ranks expects an (N, m, n) stack of matrices")
+    if r.shape[1] < r.shape[2]:
+        r = np.ascontiguousarray(r.transpose(0, 2, 1))
+    rank = np.zeros(r.shape[0], dtype=np.int64)
+    every = np.arange(r.shape[0])
+    for c in range(r.shape[2]):
+        col = r[:, :, c]
+        nonzero = col != 0
+        found = nonzero.any(axis=1)
+        if not found.any():
+            continue
+        q = r[every, nonzero.argmax(axis=1), c:]
+        # A matrix with nothing in the column keeps its rows: v = 1, r[c] = 0.
+        v = np.where(found, q[:, 0], 1)
+        r[:, :, c + 1 :] = (v[:, None, None] * r[:, :, c + 1 :] - col[:, :, None] * q[:, None, 1:]) % p
+        rank += found
+    return rank
 
 
 def kernel(m: np.ndarray, p: int) -> "Subspace":

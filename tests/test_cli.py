@@ -3,6 +3,8 @@ line surface (dispatch, determinism, exit codes)."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irrtop import cli
 from irrtop.cli import run
@@ -151,6 +153,40 @@ def test_parse_family_explicit_and_quotient():
     mods = resolve_factors(a, doc.factors, 0)
     assert mods[0].n == 1
     assert mods[1].n == 2  # regular / span{e12}
+
+
+# Family document lines: a key, then words valid and not (preset calls,
+# repeated signs, Unicode digits '\u00b2' and '\u0663', separators, random
+# text), separated by blanks.
+FAMILY_KEYS = ["algebra: preset ", "algebra: preset u(", "algebra: file ", "factor: ", "factor: explicit ", "factor: simple#", "act: ", "label: ", ""]
+FAMILY_WORDS = [
+    "regular", "quotient", "upper_triangular(2, 2)", "u(", ")", ",", ";", "#", "-", "--1", "0", "7",
+    ":", "\u00b2", "1\u0663", "x",
+]
+family_lines = st.tuples(
+    st.sampled_from(FAMILY_KEYS),
+    st.lists(st.one_of(st.sampled_from(FAMILY_WORDS), st.text(max_size=3)), max_size=5).map(" ".join),
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.lists(family_lines, max_size=6).map("\n".join))
+@example("algebra: preset upper_triangular(2, 2)\nfactor: explicit --1\n")
+@example("algebra: preset upper_triangular(2, 2)\nfactor: simple#\u00b2\n")
+@example("algebra: preset upper_triangular(--2, 2)\nfactor: regular\n")
+@example("algebra: preset upper_triangular(2\u00b2, 2)\nfactor: regular\n")
+@example("algebra: preset upper_triangular(" + "9" * 5000 + ", 2)\nfactor: regular\n")
+@example("algebra: preset upper_triangular(2, 2)\nfactor: explicit 1\nact: 0 0 0 " + "9" * 5000 + "\n")
+@example("algebra: preset " + "product(" * 3000 + "\nfactor: regular\n")
+def test_parse_family_is_total(text):
+    """A document or positioned diagnostics, never an exception."""
+    doc, diags = parse_family(text)
+    if doc is not None:
+        assert diags == [] and doc.algebra_kind in ("preset", "file") and doc.factors
+        return
+    assert diags
+    for d in diags:
+        assert 1 <= d.line <= max(1, len(text.splitlines())) and d.col >= 1, d
 
 
 def test_family_diagnostics():

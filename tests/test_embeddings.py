@@ -382,6 +382,60 @@ def test_sampled_search_matches_the_per_candidate_scan():
     assert assert_search_matches_oracle(nat, zero_ideal(m2), 0, budget=40).status == "unknown"
 
 
+# Entries per rank chunk: the module's own, one candidate per chunk, and a cap
+# of five candidates on the sampled family below (15 rows, dimension 6).
+CHUNK_ENTRIES = [embeddings.RANK_CHUNK_ENTRIES, 1, 5 * 15 * 6]
+
+
+@pytest.mark.parametrize("entries", CHUNK_ENTRIES)
+def test_search_matches_the_per_candidate_scan_across_chunk_boundaries(monkeypatch, entries):
+    monkeypatch.setattr(embeddings, "RANK_CHUNK_ENTRIES", entries)
+    # Exhaustive, 512 states: the witness is candidate 325, long after the
+    # first chunk, and the zero_module factor contributes no rows.
+    a = upper_triangular(3, 2)
+    simples = [pt.rep for pt in enumerate_irr(a, 0).points]
+    fam = ProductFamily(a, (regular_module(a), zero_module(a)) + tuple(simples))
+    assert fam.state_count() <= EXHAUSTIVE_CAP
+    assert assert_search_matches_oracle(fam, zero_ideal(a)).tried == 325
+    # Sampled, 32768 states: seed 3 finds the witness at candidate 17, seed 1
+    # at candidate 7. A budget of exactly that many puts the witness last in
+    # a partial chunk; one less ends the scan just before it.
+    fam = ProductFamily(a, (zero_module(a),) + tuple(simples) * 3 + (regular_module(a),))
+    assert fam.state_count() > EXHAUSTIVE_CAP
+    for seed, tried in [(3, 17), (1, 7)]:
+        assert assert_search_matches_oracle(fam, zero_ideal(a), seed).tried == tried
+        assert assert_search_matches_oracle(fam, zero_ideal(a), seed, budget=tried).status == "found"
+        assert assert_search_matches_oracle(fam, zero_ideal(a), seed, budget=tried - 1).status == "unknown"
+    # The empty family and families of zero modules: one candidate, passing.
+    whole = Ideal(a, Subspace.full(a.dim, a.p), "two-sided")
+    for factors in [(), (zero_module(a),), (zero_module(a), zero_module(a))]:
+        assert assert_search_matches_oracle(ProductFamily(a, factors), whole).tried == 1
+
+
+def test_equal_factors_share_one_checked_annihilator(monkeypatch):
+    """17 copies of one module cost one annihilator (with its ideal
+    self-check) in the search, the stability check and the sufficiency
+    check."""
+    calls = []
+
+    def counted(a, m):
+        calls.append(m.n)
+        return annihilator(a, m)
+
+    monkeypatch.setattr(embeddings, "annihilator", counted)
+    a, s1, s2, reg = ut2_setup()
+    copies = ProductFamily(a, (reg,) * 17)
+    mixed = ProductFamily(a, (s1, reg, s1, s2, reg, s2))
+    for fam in (copies, mixed):
+        distinct = len({f.action.tobytes() for f in fam.factors})
+        calls.clear()
+        find_embedding(fam, zero_ideal(a), 0)
+        deletion_stability(fam, zero_ideal(a), 1)
+        # The sufficiency check also tests one simple module for faithfulness.
+        sufficiency_check(a, fam, 0)
+        assert len(calls) == 3 * distinct + 1, calls
+
+
 def test_search_spins_only_the_returned_witness(monkeypatch):
     calls = []
 

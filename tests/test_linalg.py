@@ -3,6 +3,8 @@ row-space and kernel oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irrtop.linalg import (
     PRIME_BOUND,
@@ -11,6 +13,7 @@ from irrtop.linalg import (
     is_prime,
     kernel,
     projective_vectors,
+    ranks,
     rref,
     solve,
     validate_prime,
@@ -198,3 +201,51 @@ def test_largest_accepted_prime_matches_python_integers():
         assert ((m @ x) % p).tolist() == want_prod
     assert python_rref([[p - 1, p - 2], [p - 3, p - 5]], p) == ([[1, 0], [0, 1]], 2)
     assert rref(np.array([[p - 1, p - 2], [p - 3, p - 5]]), p)[0].tolist() == [[1, 0], [0, 1]]
+
+
+# --- stacked ranks against rref --------------------------------------------
+
+
+def low_rank_stack(rng, p, count, m, n):
+    """A stack of m-by-n products of random m-by-k and k-by-n factors, so
+    ranks below min(m, n) are common."""
+    k = int(rng.integers(0, min(m, n) + 1))
+    return (rng.integers(0, p, size=(count, m, k)) @ rng.integers(0, p, size=(count, k, n))) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, LARGEST_PRIME])
+def test_ranks_match_rref(p):
+    rng = np.random.default_rng(p % 1000)
+    # Empty stack, no rows, no columns, tall, wide and square.
+    shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (5, 7, 2), (5, 2, 7), (6, 5, 5), (4, 1, 6), (4, 6, 1)]
+    for count, m, n in shapes:
+        for stack in [rng.integers(0, p, size=(count, m, n)), low_rank_stack(rng, p, count, m, n)]:
+            got = ranks(stack, p)
+            assert got.shape == (count,)
+            assert got.tolist() == [rref(mat, p)[1] for mat in stack]
+    deficient = np.array([[[1, 2, 3], [2, 4, 6], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]])
+    assert ranks(deficient, p).tolist() == [rref(mat, p)[1] for mat in deficient]
+
+
+def test_ranks_reduce_entries_and_refuse_other_shapes():
+    # Entries are taken mod p: mod 2 these are the zero matrix and [[1, 1], [1, 1]].
+    assert ranks(np.array([[[2, 4], [4, 2]], [[3, 1], [1, 3]]]), 2).tolist() == [0, 1]
+    assert ranks(np.array([[[-1, 0], [0, -1]]]), 3).tolist() == [2]
+    with pytest.raises(ValueError):
+        ranks(np.eye(3, dtype=np.int64), 3)
+
+
+@st.composite
+def matrix_and_prime(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, LARGEST_PRIME]))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=m * n, max_size=m * n))
+    return np.array(entries, dtype=np.int64).reshape(m, n), p
+
+
+@given(matrix_and_prime())
+def test_rank_is_transpose_invariant_and_complements_the_kernel(mp):
+    m, p = mp
+    rank = int(ranks(m[None], p)[0])
+    assert rank == int(ranks(m.T[None], p)[0])
+    assert rank + kernel(m, p).dim == m.shape[1]
