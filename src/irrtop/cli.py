@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 
@@ -125,7 +126,7 @@ def _load_family(path: str, seed: int) -> tuple[Algebra, ProductFamily]:
     base = os.path.dirname(path) if path != "-" else "."
     try:
         a = docsmod.load_family_algebra(fdoc, base)
-    except (docsmod.ParseFailure, OSError) as e:
+    except OSError as e:
         raise UsageError(str(e)) from e
     problems = validate_algebra(a)
     if problems:
@@ -137,32 +138,42 @@ def _load_family(path: str, seed: int) -> tuple[Algebra, ProductFamily]:
     return a, ProductFamily(a, tuple(factors))
 
 
+def _decimal(tok: str, pattern: str) -> int | None:
+    """The integer of the one group of pattern, when pattern matches all of
+    tok, else None. The group is ASCII digits, optionally signed, so other
+    Unicode digits and repeated signs are refused; so is a number longer
+    than int() converts."""
+    m = re.fullmatch(pattern, tok)
+    try:
+        return None if m is None else int(m[1])
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+
+
 def _parse_set(arg: str) -> list[int]:
     if not arg.strip():
         return []
     out = []
     for tok in arg.split(","):
-        tok = tok.strip()
-        if tok.startswith("p"):
-            tok = tok[1:]
-        if not tok.isdecimal():
-            raise UsageError(f"bad point id {tok!r} in --set")
-        out.append(int(tok))
+        value = _decimal(tok.strip(), r"p?([0-9]+)")
+        if value is None:
+            raise UsageError(f"bad point id {tok.strip()!r} in --set")
+        out.append(value)
     return out
 
 
-def _parse_vectors(arg: str, dim: int) -> list[np.ndarray]:
+def _parse_vectors(arg: str, a: Algebra) -> list[np.ndarray]:
     vecs = []
     for part in arg.split(";"):
         part = part.strip()
         if not part:
             continue
-        toks = part.split()
-        if not all(t.lstrip("-").isdecimal() for t in toks):
+        vals = [_decimal(t, r"(-?[0-9]+)") for t in part.split()]
+        if None in vals:
             raise UsageError(f"bad vector {part!r} in --ideal")
-        v = np.array([int(t) for t in toks], dtype=np.int64)
-        if v.shape != (dim,):
-            raise UsageError(f"vector {part!r} must have length {dim}")
+        v = np.array([x % a.p for x in vals], dtype=np.int64)
+        if v.shape != (a.dim,):
+            raise UsageError(f"vector {part!r} must have length {a.dim}")
         vecs.append(v)
     return vecs
 
@@ -235,7 +246,7 @@ def _cmd_radical(args) -> Doc:
 def _cmd_vset(args) -> Doc:
     a = _load_algebra(args.infile)
     space = enumerate_irr(a, args.seed)
-    gens = _parse_vectors(args.ideal or "", a.dim)
+    gens = _parse_vectors(args.ideal or "", a)
     ideal = ideal_generated(a, gens, "two-sided")
     z = vanishing_set(space, ideal)
     result = Doc()
@@ -422,7 +433,7 @@ def _witness_node(result: Doc, witness) -> None:
 
 
 def _family_target(a: Algebra, args) -> Ideal:
-    gens = _parse_vectors(args.ideal or "", a.dim)
+    gens = _parse_vectors(args.ideal or "", a)
     return ideal_generated(a, gens, "two-sided")
 
 
@@ -797,19 +808,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _count(text: str) -> int:
     """A non-negative integer."""
-    if not text.strip().isdecimal():
+    value = _decimal(text.strip(), r"([0-9]+)")
+    if value is None:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    return value
 
 
 def _index_list(text: str) -> tuple[int, ...] | None:
     """Comma-separated non-negative integers; blank means none given."""
     if not text.strip():
         return None
-    toks = [t.strip() for t in text.split(",")]
-    if not all(t.isdecimal() for t in toks):
+    vals = tuple(_decimal(t.strip(), r"([0-9]+)") for t in text.split(","))
+    if None in vals:
         raise argparse.ArgumentTypeError(f"expected comma-separated non-negative integers, got {text!r}")
-    return tuple(int(t) for t in toks)
+    return vals
 
 
 def _module_name(text: str) -> str:
@@ -817,7 +829,7 @@ def _module_name(text: str) -> str:
     integer."""
     if not text:
         return "regular"
-    if text != "regular" and not (text.startswith("simple#") and text[len("simple#"):].isdecimal()):
+    if text != "regular" and _decimal(text, r"simple#([0-9]+)") is None:
         raise argparse.ArgumentTypeError(f"expected 'regular' or 'simple#k', got {text!r}")
     return text
 
@@ -860,7 +872,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     t0 = time.perf_counter()
     try:
         result = handler(args)
-    except UsageError as e:
+    except (UsageError, docsmod.ParseFailure) as e:
         return 2, f"error: {e}\n"
     except (DomainError, TopologyError, MeatAxeError, ValueError) as e:
         return 1, f"error: {e}\n"

@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import Algebra, check_dim
 from .linalg import PRIME_BOUND, is_prime
 from .modules import ModuleRep, regular_module, spin, sub_quotient
-from .presets import preset
+from .presets import PresetArgumentError, preset
 
 __all__ = [
     "Diagnostic",
@@ -228,9 +228,11 @@ def parse_preset_expr(s: str):
 
 
 def build_preset(ast) -> Algebra:
-    """Evaluate a preset AST to an algebra; raises ValueError on bad shapes."""
+    """Evaluate a preset AST to an algebra. Raises ParseFailure when the
+    expression is not a call or a preset gets the wrong number or kinds of
+    arguments, and ValueError when an algebra is refused."""
     if not (isinstance(ast, tuple) and ast[0] == "call"):
-        raise ValueError("preset must be a call like upper_triangular(2, 2)")
+        raise ParseFailure("preset must be a call like upper_triangular(2, 2)")
     _, name, args = ast
     vals = []
     for arg in args:
@@ -238,7 +240,10 @@ def build_preset(ast) -> Algebra:
             vals.append(build_preset(arg))
         else:
             vals.append(arg)
-    return preset(name, tuple(vals))
+    try:
+        return preset(name, tuple(vals))
+    except PresetArgumentError as e:
+        raise ParseFailure(str(e)) from e
 
 
 # --- algebra documents -----------------------------------------------------
@@ -548,7 +553,8 @@ def parse_family(text: str) -> tuple[FamilyDoc | None, list[Diagnostic]]:
 
 
 class ParseFailure(ValueError):
-    """A family's algebra line or algebra file that does not parse."""
+    """An algebra file, a family's algebra line or a preset expression that
+    does not parse, or whose preset arguments have the wrong kinds."""
 
 
 def load_family_algebra(doc: FamilyDoc, base_dir: str) -> Algebra:

@@ -3,6 +3,10 @@ modules over GF(p), plus the Schur-lemma isomorphism test and the radical.
 
 Simples are grouped by annihilator: ann(S) is a maximal ideal and A/ann(S)
 has one simple module, so simples are isomorphic iff their annihilators agree.
+The grouping kernel of each class is its annihilator, self-checked once
+(``simple_classes``). Meets of class annihilators, the radical among them,
+are one kernel of the stacked check matrices (``annihilator_meet``), checked
+against the Chinese remainder identity.
 
 ``split`` samples up to RETRY_BUDGET random elements theta of the acting
 algebra's image and stops at the first certificate:
@@ -56,6 +60,9 @@ __all__ = [
     "composition_factors",
     "is_isomorphic_simple",
     "group_factors",
+    "simple_classes",
+    "annihilator_meet",
+    "CRT_FAILURE",
     "jacobson_radical",
     "is_semiprimitive",
 ]
@@ -64,6 +71,7 @@ RETRY_BUDGET = 64  # sampled elements looking for a certificate
 HOLT_REES_BUDGET = 64  # elements the Holt-Rees test may draw after that
 BRUTE_CAP = 4096
 KERNEL_LINE_CAP = 512
+CRT_FAILURE = "annihilator meet breaks the Chinese remainder identity: classes are not distinct simples"
 
 
 class MeatAxeError(RuntimeError):
@@ -254,38 +262,55 @@ def is_isomorphic_simple(m1: ModuleRep, m2: ModuleRep) -> np.ndarray | None:
     return None
 
 
-def group_factors(factors: list[ModuleRep]) -> list[tuple[ModuleRep, int]]:
-    """Group a list of simple modules by isomorphism class, keeping
-    first-found order: one dict pass keyed on the annihilator subspace."""
+def _grouped(factors: list[ModuleRep]) -> dict[Subspace, tuple[ModuleRep, int]]:
+    """Simple modules grouped by annihilator, in first-found order: one
+    ``annihilator_subspace`` kernel per module."""
     groups: dict[Subspace, tuple[ModuleRep, int]] = {}
     for f in factors:
         key = annihilator_subspace(f)
         rep, cnt = groups.get(key, (f, 0))
         groups[key] = (rep, cnt + 1)
-    return list(groups.values())
+    return groups
 
 
-def _class_annihilators(a: Algebra, seed: int) -> list[Subspace]:
-    """One checked annihilator per simple class of the regular module."""
+def group_factors(factors: list[ModuleRep]) -> list[tuple[ModuleRep, int]]:
+    """Group a list of simple modules by isomorphism class, keeping
+    first-found order: one dict pass keyed on the annihilator subspace."""
+    return list(_grouped(factors).values())
+
+
+def simple_classes(a: Algebra, seed: int = 0) -> list[tuple[ModuleRep, Ideal]]:
+    """One representative per simple class of the regular module, in
+    first-found order, with its annihilator: the grouping kernel itself,
+    self-checked once."""
     factors = composition_factors(regular_module(a), seed)
-    return [annihilator(a, rep).subspace for rep, _ in group_factors(factors)]
+    return [(rep, annihilator(a, rep, key)) for key, (rep, _) in _grouped(factors).items()]
+
+
+def annihilator_meet(a: Algebra, anns: list[Subspace]) -> Subspace:
+    """Meet of the annihilators of distinct simple classes, the annihilator
+    of the sum of their modules: one kernel of the stacked check matrices.
+    Distinct maximal ideals are comaximal, so by the Chinese remainder
+    theorem the meet has dimension d - sum of the codimensions; that is
+    checked. The empty meet is the whole algebra."""
+    if not anns:
+        return Subspace.full(a.dim, a.p)
+    meet = kernel(np.vstack([s.check_matrix() for s in anns]), a.p)
+    if meet.dim != a.dim - sum(a.dim - s.dim for s in anns):
+        raise AssertionError(CRT_FAILURE)
+    return meet
 
 
 def jacobson_radical(a: Algebra, seed: int = 0) -> Ideal:
-    """Intersection of the annihilators of the simple classes among the
-    regular module's composition factors (which exhaust the simple modules
-    of an Artinian algebra)."""
-    sub = Subspace.full(a.dim, a.p)
-    for s in _class_annihilators(a, seed):
-        sub = sub.intersect(s)
-    return Ideal(a, sub, "two-sided")
+    """Meet of the annihilators of the simple classes among the regular
+    module's composition factors (which exhaust the simple modules of an
+    Artinian algebra)."""
+    return Ideal(a, annihilator_meet(a, [ann.subspace for _, ann in simple_classes(a, seed)]), "two-sided")
 
 
 def is_semiprimitive(a: Algebra, ideal: Ideal, seed: int = 0) -> bool:
-    """True iff the ideal is an intersection of simple-module annihilators;
-    the empty intersection is the whole algebra."""
-    meet = Subspace.full(a.dim, a.p)
-    for s in _class_annihilators(a, seed):
-        if s.contains_space(ideal.subspace):
-            meet = meet.intersect(s)
-    return meet == ideal.subspace
+    """True iff the ideal is an intersection of simple-module annihilators:
+    the meet of the class annihilators containing it; the empty meet is the
+    whole algebra."""
+    anns = [ann.subspace for _, ann in simple_classes(a, seed)]
+    return annihilator_meet(a, [s for s in anns if s.contains_space(ideal.subspace)]) == ideal.subspace

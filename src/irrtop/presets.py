@@ -11,6 +11,7 @@ from .linalg import validate_prime
 
 __all__ = [
     "preset",
+    "PresetArgumentError",
     "matrix_algebra",
     "upper_triangular",
     "truncated_polynomial",
@@ -159,8 +160,40 @@ def _named_group_table(gname: str) -> list[list[int]]:
     raise ValueError(f"unknown group name {gname!r} (expected Cn or S3)")
 
 
+class PresetArgumentError(ValueError):
+    """A preset called with the wrong number or kinds of arguments."""
+
+
+# The argument kinds of each preset but ``product``, which takes one or more
+# algebras: an integer, or a group name.
+_ARGUMENT_KINDS = {
+    "matrix_algebra": (int, int),
+    "upper_triangular": (int, int),
+    "truncated_polynomial": (int, int),
+    "commutative_split": (int, int),
+    "group_algebra": (str, int),
+}
+_KIND_NAMES = {int: "integer", str: "name", Algebra: "algebra"}
+
+
+def _kind(value) -> type | None:
+    return next((k for k in (int, str, Algebra) if isinstance(value, k)), None)
+
+
+def _check_arguments(name: str, params: tuple) -> None:
+    want = (Algebra,) * max(1, len(params)) if name == "product" else _ARGUMENT_KINDS.get(name)
+    got = tuple(_kind(q) for q in params)
+    if want is not None and got != want:
+        expected = "one or more algebra" if name == "product" else ", ".join(_KIND_NAMES[k] for k in want)
+        given = ", ".join(_KIND_NAMES.get(k, "other") for k in got)
+        raise PresetArgumentError(f"{name} expects ({expected}) arguments, got ({given})")
+
+
 def preset(name: str, params: tuple) -> Algebra:
-    """Named preset constructor; raises ValueError on unknown names."""
+    """Named preset constructor. Raises PresetArgumentError when the
+    arguments do not match the preset's kinds (``_ARGUMENT_KINDS``) and
+    ValueError on unknown names or refused values."""
+    _check_arguments(name, params)
     if name == "matrix_algebra":
         n, p = params
         return matrix_algebra(int(n), int(p))
@@ -175,13 +208,10 @@ def preset(name: str, params: tuple) -> Algebra:
         return commutative_split(int(k), int(p))
     if name == "group_algebra":
         gname, p = params
-        table = _named_group_table(str(gname))
+        table = _named_group_table(gname)
         return group_algebra(table, int(p), name=f"group_algebra({gname},{int(p)})")
     if name == "product":
-        parts = [q for q in params]
-        if not all(isinstance(q, Algebra) for q in parts):
-            raise ValueError("product preset expects algebra parameters")
-        return product_algebra(parts)
+        return product_algebra(list(params))
     raise ValueError(f"unknown preset {name!r}")
 
 

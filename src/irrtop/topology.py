@@ -6,9 +6,13 @@ finite products.
 Theory decides the topologies: class annihilators are distinct maximal
 ideals, so every point is Zariski-closed, and by Jordan-Hoelder a sum of
 simples has only its summands as factors. All three topologies are discrete;
-only ideals are computed (meets, vanishing sets, closed-form ideals), each
-meet checked against the Chinese remainder identity
-dim meet(S) = d - sum over i in S of codim ann(i).
+only ideals are computed (meets, vanishing sets, closed-form ideals).
+
+A meet of annihilators is the annihilator of the sum of the class modules,
+so it is computed as a kernel: of the stacked check matrices of the
+annihilators (``ann_meet``), or of one check matrix restricted to a meet
+already built (the lattice). Each meet is checked against the Chinese
+remainder identity dim meet(S) = d - sum over i in S of codim ann(i).
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from functools import cached_property
 
 from .algebra import Algebra, Ideal
 from .linalg import Subspace
-from .meataxe import composition_factors, group_factors
-from .modules import ModuleRep, annihilator, annihilator_subspace, regular_module
+from .meataxe import CRT_FAILURE, annihilator_meet, simple_classes
+from .modules import ModuleRep, annihilator_subspace
 
 __all__ = [
     "IrrPoint",
@@ -37,7 +41,6 @@ __all__ = [
 
 ZARISKI_POINT_CAP = 16
 CLOSURE_POINT_CAP = 8
-_CRT_FAILURE = "annihilator meet breaks the Chinese remainder identity: classes are not distinct simples"
 
 
 @dataclass(frozen=True)
@@ -63,12 +66,11 @@ class IrrSpace:
         return frozenset(pt.id for pt in self.points)
 
     def ann_meet(self, ids) -> Subspace:
-        """Intersection of the annihilators over a point set; the empty
-        intersection is the whole algebra."""
-        sub = Subspace.full(self.algebra.dim, self.algebra.p)
-        for i in ids:
-            sub = sub.intersect(self.points[i].ann.subspace)
-        return sub
+        """Intersection of the annihilators over a point set, taken as a
+        set: one kernel, checked against the Chinese remainder identity
+        (``annihilator_meet``). The empty intersection is the whole
+        algebra."""
+        return annihilator_meet(self.algebra, [self.points[i].ann.subspace for i in sorted(set(ids))])
 
     @cached_property
     def _lattice(self) -> "_MeetLattice":
@@ -96,10 +98,12 @@ class _MeetLattice:
     """Every meet of point annihilators, memoized over point bitmasks.
 
     meets[S] is the intersection of ann(i) over the points i in S, with
-    meets[0] the whole algebra; meets[S] = meets[S - {max S}] & ann(max S)
-    costs one intersection per nonempty S, each checked to lower the
-    dimension by the codimension of ann(max S) (Chinese remainder). As every
-    ann(i) is proper, meets[S] then lies in ann(i) only for i in S.
+    meets[0] the whole algebra. meets[S] is meets[S - {max S}] cut by the
+    check matrix of ann(max S) (``Subspace.meet_kernel``): one kernel of a
+    codim x dim matrix per nonempty S, no re-elimination. Each step is
+    checked to lower the dimension by the codimension of ann(max S), the
+    row count of its check matrix (Chinese remainder). As every ann(i) is
+    proper, meets[S] then lies in ann(i) only for i in S.
     """
 
     def __init__(self, space: IrrSpace):
@@ -107,27 +111,24 @@ class _MeetLattice:
         if n > ZARISKI_POINT_CAP:
             raise ValueError(f"semiprimitive lattice capped at {ZARISKI_POINT_CAP} points")
         d = space.algebra.dim
+        checks = [pt.ann.subspace.check_matrix() for pt in space.points]
         meets = [Subspace.full(d, space.algebra.p)]
         for s in range(1, 1 << n):
             top = s.bit_length() - 1
-            rest, ann = meets[s ^ 1 << top], space.points[top].ann.subspace
-            meet = rest.intersect(ann)
-            if meet.dim != rest.dim - (d - ann.dim):
-                raise AssertionError(_CRT_FAILURE)
+            rest = meets[s ^ 1 << top]
+            meet = rest.meet_kernel(checks[top])
+            if meet.dim != rest.dim - len(checks[top]):
+                raise AssertionError(CRT_FAILURE)
             meets.append(meet)
         self.meets = meets
 
 
 def enumerate_irr(a: Algebra, seed: int = 0) -> IrrSpace:
     """Isomorphism classes of simple modules: deduplicated composition
-    factors of the regular module, ordered by dimension then first found."""
-    factors = composition_factors(regular_module(a), seed)
-    reps = [rep for rep, _ in group_factors(factors)]
-    reps.sort(key=lambda f: f.n)  # stable: preserves first-found order per dim
-    points = tuple(
-        IrrPoint(i, rep.relabel(f"simple#{i}"), annihilator(a, rep))
-        for i, rep in enumerate(reps)
-    )
+    factors of the regular module, ordered by dimension then first found,
+    each with its annihilator (``simple_classes``)."""
+    classes = sorted(simple_classes(a, seed), key=lambda c: c[0].n)  # stable: first-found order per dim
+    points = tuple(IrrPoint(i, rep.relabel(f"simple#{i}"), ann) for i, (rep, ann) in enumerate(classes))
     return IrrSpace(a, points)
 
 
@@ -209,7 +210,7 @@ def closed_form(space: IrrSpace, selection: frozenset[int], meet: Subspace) -> F
     checked against the Chinese remainder identity."""
     d = space.algebra.dim
     if meet.dim != d - sum(d - space.points[i].ann.dim for i in selection):
-        raise AssertionError(_CRT_FAILURE)
+        raise AssertionError(CRT_FAILURE)
     return FormReport(
         space,
         selection,

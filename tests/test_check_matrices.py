@@ -1,0 +1,201 @@
+"""Annihilators as check matrices.
+
+Every meet of class annihilators is a kernel: ``ann_meet`` and
+``jacobson_radical`` take one kernel of the stacked check matrices, and each
+lattice member restricts the member below it to the kernel of one more
+check matrix. The Zassenhaus ``Subspace.intersect`` fold they replaced is
+the oracle here, on every gallery algebra and on the gallery shapes rebuilt
+at p in {2, 3, 5} and at the largest accepted prime, over every subset of
+the classes. The annihilator self-check contracts the check matrix with the
+structure constants; ``is_ideal`` is its oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from irrtop import cli, meataxe, modules
+from irrtop.algebra import Ideal, ideal_generated, is_ideal
+from irrtop.cli import run
+from irrtop.docs import build_preset, parse_preset_expr
+from irrtop.linalg import PRIME_BOUND, Subspace, is_prime, kernel, rref
+from irrtop.meataxe import composition_factors, group_factors, jacobson_radical
+from irrtop.modules import annihilates_as_ideal, annihilator_subspace, regular_module, zero_module
+from irrtop.presets import gallery
+from irrtop.topology import IrrPoint, IrrSpace, enumerate_irr, vanishing_set
+
+LARGEST_PRIME = max(q for q in range(PRIME_BOUND - 64, PRIME_BOUND) if is_prime(q))
+SHAPES = (
+    "matrix_algebra(1, {p})",
+    "matrix_algebra(2, {p})",
+    "upper_triangular(2, {p})",
+    "upper_triangular(3, {p})",
+    "truncated_polynomial(2, {p})",
+    "truncated_polynomial(3, {p})",
+    "commutative_split(3, {p})",
+    "group_algebra(C2, {p})",
+    "group_algebra(C3, {p})",
+    "group_algebra(C4, {p})",
+    "group_algebra(S3, {p})",
+    "product(matrix_algebra(2, {p}), upper_triangular(2, {p}))",
+)
+
+
+def _preset(expr: str):
+    ast, err = parse_preset_expr(expr)
+    assert err is None, expr
+    return build_preset(ast)
+
+
+def algebras():
+    """The gallery, then its shapes at each prime the input boundary
+    accepts them at."""
+    out = [pytest.param(a, id=a.name.replace(" ", "")) for a in gallery()]
+    for p in (2, 3, 5, LARGEST_PRIME):
+        for shape in SHAPES:
+            expr = shape.format(p=p)
+            try:
+                out.append(pytest.param(_preset(expr), id=expr.replace(" ", "")))
+            except ValueError:  # d**2 * (p - 1)**3 reaches 2**63
+                pass
+    return out
+
+
+def intersect_fold(a, subspaces) -> Subspace:
+    """The replaced meet: one Zassenhaus intersection per annihilator."""
+    meet = Subspace.full(a.dim, a.p)
+    for s in subspaces:
+        meet = meet.intersect(s)
+    return meet
+
+
+def assert_rref(s: Subspace):
+    """The stored basis is the unique read-only RREF of its span."""
+    r, rank, pivots = rref(s.basis, s.p) if s.dim else (s.basis, 0, [])
+    assert rank == s.dim and tuple(pivots) == s.pivots
+    assert r.tolist() == s.basis.tolist()
+    assert s.basis.dtype == np.int64 and not s.basis.flags.writeable
+
+
+@pytest.mark.parametrize("a", algebras())
+def test_kernel_meets_match_the_intersect_fold(a):
+    space = enumerate_irr(a, 0)
+    n = len(space)
+    assert n <= 5
+    anns = [pt.ann.subspace for pt in space.points]
+    meets = space._lattice.meets
+    assert len(meets) == 2**n
+    for mask in range(2**n):
+        ids = [i for i in range(n) if mask >> i & 1]
+        want = intersect_fold(a, [anns[i] for i in ids])
+        for got in (space.ann_meet(ids), space.ann_meet(ids[::-1] * 2), meets[mask]):
+            assert got == want, (a.name, ids)
+            assert_rref(got)
+    rad = jacobson_radical(a, 0).subspace
+    assert rad == intersect_fold(a, anns) == meets[-1]
+    assert_rref(rad)
+
+
+def test_meet_kernel_and_check_matrix_on_random_subspaces():
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 5, LARGEST_PRIME):
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            u = Subspace.from_rows(rng.integers(0, p, size=(int(rng.integers(0, n + 1)), n)), p, ambient=n)
+            v = Subspace.from_rows(rng.integers(0, p, size=(int(rng.integers(0, n + 1)), n)), p, ambient=n)
+            c = v.check_matrix()
+            assert c.shape == (n - v.dim, n) and kernel(c, p) == v
+            got = u.meet_kernel(c)
+            assert got == u.intersect(v)
+            assert_rref(got)
+
+
+# --- the self-check ----------------------------------------------------------
+
+SMALL = [
+    _preset(e)
+    for e in (
+        "upper_triangular(2, 2)",
+        "upper_triangular(3, 2)",
+        "matrix_algebra(2, 3)",
+        "truncated_polynomial(3, 2)",
+        "group_algebra(S3, 3)",
+        "product(matrix_algebra(2, 2), upper_triangular(2, 2))",
+    )
+]
+SIMPLES = [[pt.rep for pt in enumerate_irr(a, 0).points] for a in SMALL]
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, len(SMALL) - 1),
+    st.sampled_from(["rows", "left", "two-sided"]),
+    st.lists(st.lists(st.integers(0, 2**20), min_size=12, max_size=12), max_size=4),
+    st.integers(-1, 3),
+)
+def test_annihilator_self_check_matches_is_ideal(which, kind, rows, module):
+    a = SMALL[which]
+    vecs = [np.array(r[: a.dim]) % a.p for r in rows]
+    if kind == "rows":
+        sub = Subspace.from_rows(vecs, a.p, ambient=a.dim)
+    else:
+        sub = ideal_generated(a, vecs, kind).subspace
+    # module -1 is the zero module, whose check matrix has no rows: there
+    # the self-check is the closure test alone.
+    m = zero_module(a) if module < 0 else SIMPLES[which][module % len(SIMPLES[which])]
+    want = annihilator_subspace(m).contains_space(sub) and is_ideal(a, sub, "two-sided")
+    assert annihilates_as_ideal(m, sub) == want
+
+
+def test_each_class_kernel_is_computed_once(monkeypatch):
+    for a in SMALL:
+        factors = composition_factors(regular_module(a), 0)
+        classes = len(group_factors(factors))
+        kernels, checks = [], []
+        monkeypatch.setattr(modules, "kernel", lambda m, p, k=kernel: kernels.append(1) or k(m, p))
+        check = annihilates_as_ideal
+        monkeypatch.setattr(modules, "annihilates_as_ideal", lambda m, s, c=check: checks.append(1) or c(m, s))
+        for run_once in (lambda: enumerate_irr(a, 0), lambda: jacobson_radical(a, 0)):
+            kernels.clear()
+            checks.clear()
+            run_once()
+            assert (len(kernels), len(checks)) == (len(factors), classes), a.name
+        monkeypatch.undo()
+
+
+# --- the Chinese remainder self-check ---------------------------------------
+
+
+def _duplicated_space(a):
+    """The first class twice: two points with one annihilator."""
+    first = enumerate_irr(a, 0).points[0]
+    return IrrSpace(a, (first, IrrPoint(1, first.rep, first.ann)))
+
+
+def test_a_duplicated_point_breaks_the_chinese_remainder_identity():
+    a = SMALL[0]
+    space = _duplicated_space(a)
+    assert space.ann_meet([0, 0]) == space.points[0].ann.subspace
+    with pytest.raises(AssertionError, match="Chinese remainder"):
+        space.ann_meet([0, 1])
+    with pytest.raises(AssertionError, match="Chinese remainder"):
+        vanishing_set(space, Ideal(a, Subspace.zero(a.dim, a.p), "two-sided"))
+
+
+@pytest.mark.parametrize("argv", [["vset"], ["zlattice"], ["point-closure"], ["compare"], ["verify-form", "--set", "0,1"]])
+def test_cli_exits_3_on_a_duplicated_point(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(cli, "enumerate_irr", lambda a, seed: _duplicated_space(a))
+    alg = tmp_path / "ut2.alg"
+    alg.write_text("preset: upper_triangular(2, 2)\n")
+    code, out = run(argv + ["--in", str(alg), "--format", "structured"])
+    assert code == 3
+    assert out == f"internal error: {meataxe.CRT_FAILURE}\n"
+
+
+def test_cli_radical_exits_3_on_a_duplicated_class(tmp_path, monkeypatch):
+    classes = meataxe.simple_classes
+    monkeypatch.setattr(meataxe, "simple_classes", lambda a, seed: classes(a, seed)[:1] * 2)
+    alg = tmp_path / "ut2.alg"
+    alg.write_text("preset: upper_triangular(2, 2)\n")
+    code, out = run(["radical", "--in", str(alg), "--format", "structured"])
+    assert (code, out) == (3, f"internal error: {meataxe.CRT_FAILURE}\n")

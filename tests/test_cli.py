@@ -189,6 +189,59 @@ def test_parse_family_is_total(text):
         assert 1 <= d.line <= max(1, len(text.splitlines())) and d.col >= 1, d
 
 
+# Algebra document lines: a key, then words valid and not, as for families.
+ALGEBRA_KEYS = ["preset: ", "preset: u(", "p: ", "dim: ", "one: ", "mul: ", "basis: ", "name: ", "Preset:", "# ", ""]
+ALGEBRA_WORDS = [
+    "upper_triangular(2, 2)", "product(", "matrix_algebra(matrix_algebra(2, 2), 2)", "u(", ")", ",", ":", "#",
+    "-", "--1", "0", "1", "2", "3", "1048573", "9" * 5000, "\u00b2", "1\u0663", "x",
+]
+algebra_lines = st.tuples(
+    st.sampled_from(ALGEBRA_KEYS),
+    st.lists(st.one_of(st.sampled_from(ALGEBRA_WORDS), st.text(max_size=3)), max_size=5).map(" ".join),
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.lists(algebra_lines, max_size=6).map("\n".join))
+@example("p: 2\ndim: 1\none: 1\nmul: 0 0 0 1\n")
+@example("preset: " + "product(" * 3000 + "\n")
+@example("p: 2\ndim: " + "9" * 5000 + "\none: 1\n")
+@example("p: 2\ndim: 1\none: \u0663\nmul: 0 0 0 --1\n")
+@example("preset:\n")
+def test_parse_algebra_is_total(text):
+    """A document or positioned diagnostics, never an exception."""
+    doc, diags = parse_algebra(text)
+    if doc is not None:
+        assert diags == []
+        return
+    assert diags
+    for d in diags:
+        assert 1 <= d.line <= max(1, len(text.splitlines())) and d.col >= 1, d
+
+
+# Report lines: indentation, a key, a separator and a value.
+report_lines = st.tuples(
+    st.sampled_from(["", " ", "  ", "   ", "    ", "\t"]),
+    st.sampled_from(["command", "result", "point", "id", "", ":", "x y"]) | st.text(max_size=4),
+    st.sampled_from([":", ": ", "", " :", "::"]),
+    st.sampled_from(["", "irr", "0 1", "irrtop/1"]) | st.text(max_size=4),
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["irrtop/1\n", " irrtop/1 \n", "", "irrtop/2\n"]), st.lists(report_lines, max_size=8).map("\n".join))
+@example("irrtop/1\n", "   a: 1")
+@example("irrtop/1\n", "a:\n    b: 1\n c: 2")
+@example("irrtop/1\n", "\x85a: 1\u2028  b:")
+def test_parse_report_is_total(header, body):
+    """A tree or positioned diagnostics, never an exception."""
+    text = header + body
+    doc, diags = parse_report(text)
+    assert doc is not None or diags
+    for d in diags:
+        assert 1 <= d.line <= max(1, len(text.splitlines())) and d.col >= 1, d
+
+
 def test_family_diagnostics():
     doc, diags = parse_family("factor: regular\n")
     assert doc is None
@@ -234,15 +287,18 @@ def test_cli_radical_and_compare(tmp_path):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_cli_compare_reads_the_lattice_it_built(tmp_path, monkeypatch, n):
+    # One meet per lattice member, each a restriction of the meet below it
+    # to a kernel; no Zassenhaus intersection anywhere in the command.
     from irrtop.linalg import Subspace
 
     calls = []
-    intersect = Subspace.intersect
-    monkeypatch.setattr(Subspace, "intersect", lambda u, v: calls.append(1) or intersect(u, v))
+    for name in ("meet_kernel", "intersect"):
+        method = getattr(Subspace, name)
+        monkeypatch.setattr(Subspace, name, lambda u, v, method=method, name=name: calls.append(name) or method(u, v))
     alg = _write(tmp_path, "cs.alg", f"preset: commutative_split({n}, 2)\n")
     code, out = run(["compare", "--in", alg, "--format", "structured"])
     assert code == 0 and out.count("finite_part:\n") == 2**n
-    assert len(calls) == 2**n - 1
+    assert calls == ["meet_kernel"] * (2**n - 1)
 
 
 def test_cli_vset_and_zlattice(tmp_path):
@@ -384,6 +440,58 @@ def test_cli_non_ascii_digits_are_usage_errors(tmp_path):
     assert code == 2 and out.startswith("error: bad point id")
     code, out = run(["vset", "--in", alg, "--ideal", "0 \u00b2 0"])
     assert code == 2 and out.startswith("error: bad vector")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["vset", "--ideal", "--1 0 0"], "error: bad vector '--1 0 0' in --ideal"),
+        (["vset", "--ideal", "\u0663 0 0"], "error: bad vector '\u0663 0 0' in --ideal"),
+        (["vset", "--ideal", "+1 0 0"], "error: bad vector '+1 0 0' in --ideal"),
+        (["vset", "--ideal", "9" * 5000 + " 0 0"], "error: bad vector"),
+        (["refined-closure", "--set", "\u0663"], "error: bad point id '\u0663' in --set"),
+        (["refined-closure", "--set", "p-1"], "error: bad point id 'p-1' in --set"),
+        (["verify-form", "--set", "0,pp1"], "error: bad point id 'pp1' in --set"),
+        (["irr", "--seed", "\u0663"], "error: argument --seed:"),
+        (["chain-bound", "--module", "simple#\u0663"], "error: argument --module:"),
+        (["embed-staged", "--order", "0,\u0663"], "error: argument --order:"),
+    ],
+)
+def test_cli_integers_are_ascii_decimals(tmp_path, argv, message):
+    alg = _write(tmp_path, "ut2.alg", UT2_PRESET)
+    code, out = run(argv + ["--in", alg, "--format", "structured"])
+    assert code == 2 and out.startswith(message) and out.count("\n") == 1
+
+
+def test_cli_ideal_entries_are_reduced_mod_p(tmp_path):
+    # Entries past int64 used to end in an OverflowError traceback.
+    alg = _write(tmp_path, "ut2.alg", UT2_PRESET)
+    big = run(["vset", "--in", alg, "--ideal", f"{2**70 + 1} 0 -{2**64}", "--format", "structured"])
+    small = run(["vset", "--in", alg, "--ideal", "1 0 0", "--format", "structured"])
+    assert big == small and big[0] == 0
+
+
+@pytest.mark.parametrize(
+    "preset, message",
+    [
+        ("matrix_algebra(matrix_algebra(2, 2), 2)", "matrix_algebra expects (integer, integer) arguments, got (algebra, integer)"),
+        ("upper_triangular(2)", "upper_triangular expects (integer, integer) arguments, got (integer)"),
+        ("commutative_split(x, 2)", "commutative_split expects (integer, integer) arguments, got (name, integer)"),
+        ("group_algebra(upper_triangular(2, 2), 2)", "group_algebra expects (name, integer) arguments, got (algebra, integer)"),
+        ("group_algebra(3, 2)", "group_algebra expects (name, integer) arguments, got (integer, integer)"),
+        ("product(2, upper_triangular(2, 2))", "product expects (one or more algebra) arguments, got (integer, algebra)"),
+        ("product()", "product expects (one or more algebra) arguments, got ()"),
+        ("product(matrix_algebra(2, 2), truncated_polynomial(2, x))", "truncated_polynomial expects (integer, integer)"),
+        ("upper_triangular", "preset must be a call like upper_triangular(2, 2)"),
+    ],
+)
+def test_cli_preset_argument_kinds_exit_2(tmp_path, preset, message):
+    alg = _write(tmp_path, "bad.alg", f"preset: {preset}\n")
+    fam = _write(tmp_path, "bad.fam", f"algebra: preset {preset}\nfactor: regular\n")
+    via_file = _write(tmp_path, "via.fam", "algebra: file bad.alg\nfactor: regular\n")
+    for argv in (["irr", "--in", alg], ["validate", "--in", alg], ["point-closure", "--in", alg], ["embed", "--in", fam], ["embed", "--in", via_file]):
+        code, out = run(argv + ["--format", "structured"])
+        assert code == 2 and out.startswith(f"error: {message}") and out.count("\n") == 1, argv
 
 
 def test_cli_help_exits_0(capsys):
