@@ -262,9 +262,11 @@ def is_isomorphic_simple(m1: ModuleRep, m2: ModuleRep) -> np.ndarray | None:
     return None
 
 
-def _grouped(factors: list[ModuleRep]) -> dict[Subspace, tuple[ModuleRep, int]]:
-    """Simple modules grouped by annihilator, in first-found order: one
-    ``annihilator_subspace`` kernel per module."""
+def group_factors(factors: list[ModuleRep]) -> dict[Subspace, tuple[ModuleRep, int]]:
+    """Group a list of simple modules by isomorphism class: one dict pass
+    keyed on the annihilator subspace, one ``annihilator_subspace`` kernel
+    per module, mapping to the first-found representative and the count, in
+    first-found order."""
     groups: dict[Subspace, tuple[ModuleRep, int]] = {}
     for f in factors:
         key = annihilator_subspace(f)
@@ -273,18 +275,12 @@ def _grouped(factors: list[ModuleRep]) -> dict[Subspace, tuple[ModuleRep, int]]:
     return groups
 
 
-def group_factors(factors: list[ModuleRep]) -> list[tuple[ModuleRep, int]]:
-    """Group a list of simple modules by isomorphism class, keeping
-    first-found order: one dict pass keyed on the annihilator subspace."""
-    return list(_grouped(factors).values())
-
-
 def simple_classes(a: Algebra, seed: int = 0) -> list[tuple[ModuleRep, Ideal]]:
     """One representative per simple class of the regular module, in
     first-found order, with its annihilator: the grouping kernel itself,
     self-checked once."""
     factors = composition_factors(regular_module(a), seed)
-    return [(rep, annihilator(a, rep, key)) for key, (rep, _) in _grouped(factors).items()]
+    return [(rep, annihilator(a, rep, key)) for key, (rep, _) in group_factors(factors).items()]
 
 
 def annihilator_meet(a: Algebra, anns: list[Subspace]) -> Subspace:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Ideal
+from .algebra import Algebra, Ideal, is_ideal
 from .linalg import Subspace, as_vector, kernel
 
 __all__ = [
@@ -100,23 +100,26 @@ def annihilates_as_ideal(m: ModuleRep, sub: Subspace) -> bool:
     """Whether every element of sub acts as zero on m and sub is a two-sided
     ideal.
 
-    With B the basis rows of sub, the first test is H B^T = 0. Closure goes
-    through C, the check matrix of sub (kernel exactly sub; codim sub rows,
-    at most n^2 when sub is ann(m)), contracted with the structure constants
-    first: T[j, l, c] = sum_t mul[j, l, t] C[c, t] is C applied to e_j e_l
-    for the algebra basis e, of size d x d x codim. Left closure is
-    C(e_j b) = sum_l T[j, l, :] b[l] = 0 and right closure
-    C(b e_l) = sum_j b[j] T[j, l, :] = 0, for every basis row b of sub. As
+    With B the basis rows of sub, the first test is H B^T = 0. Closure is
+    ``is_ideal``, with the structure constants met by whichever of B and the
+    check matrix C of sub (kernel exactly sub, codim sub rows) is smaller.
+    When codim <= dim, C goes first: T[j, l, c] = sum_t mul[j, l, t] C[c, t]
+    is C applied to e_j e_l for the algebra basis e, of size d x d x codim.
+    Left closure is C(e_j b) = sum_l T[j, l, :] b[l] = 0 and right closure
+    C(b e_l) = sum_j b[j] T[j, l, :] = 0, for every basis row b of sub; as
     the kernel of C is exactly sub, that is ``is_ideal`` without its
-    (d, dim sub, d) products: codim * d^2 * (d + 2 dim sub) multiply-adds in
-    all."""
+    (d, dim sub, d) products, at codim * d^2 * (d + 2 dim sub) multiply-adds.
+    When dim < codim, those products are the smaller tensor and ``is_ideal``
+    itself is the cheaper test."""
     a, p, d = m.algebra, m.p, m.algebra.dim
     b = sub.basis
     if ((b @ m.action.reshape(d, m.n * m.n)) % p).any():
         return False
-    c = sub.check_matrix()
-    if not (len(b) and len(c)):
+    if not 0 < sub.dim < d:
         return True
+    if sub.dim < d - sub.dim:
+        return is_ideal(a, sub, "two-sided")
+    c = sub.check_matrix()
     t = ((a.mul.reshape(d * d, d) @ c.T) % p).reshape(d, d, len(c))
     if ((b @ t) % p).any():  # (d, dim, codim): C(e_j b)
         return False

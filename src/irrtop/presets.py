@@ -164,14 +164,19 @@ class PresetArgumentError(ValueError):
     """A preset called with the wrong number or kinds of arguments."""
 
 
-# The argument kinds of each preset but ``product``, which takes one or more
-# algebras: an integer, or a group name.
-_ARGUMENT_KINDS = {
-    "matrix_algebra": (int, int),
-    "upper_triangular": (int, int),
-    "truncated_polynomial": (int, int),
-    "commutative_split": (int, int),
-    "group_algebra": (str, int),
+def _group_algebra_preset(gname: str, p: int) -> Algebra:
+    return group_algebra(_named_group_table(gname), p, name=f"group_algebra({gname},{p})")
+
+
+# Each preset's argument kinds (an integer, a group name) and constructor;
+# ``product`` takes one or more algebras, so its kinds are None.
+_PRESETS = {
+    "matrix_algebra": ((int, int), matrix_algebra),
+    "upper_triangular": ((int, int), upper_triangular),
+    "truncated_polynomial": ((int, int), truncated_polynomial),
+    "commutative_split": ((int, int), commutative_split),
+    "group_algebra": ((str, int), _group_algebra_preset),
+    "product": (None, lambda *parts: product_algebra(list(parts))),
 }
 _KIND_NAMES = {int: "integer", str: "name", Algebra: "algebra"}
 
@@ -180,39 +185,19 @@ def _kind(value) -> type | None:
     return next((k for k in (int, str, Algebra) if isinstance(value, k)), None)
 
 
-def _check_arguments(name: str, params: tuple) -> None:
-    want = (Algebra,) * max(1, len(params)) if name == "product" else _ARGUMENT_KINDS.get(name)
-    got = tuple(_kind(q) for q in params)
-    if want is not None and got != want:
-        expected = "one or more algebra" if name == "product" else ", ".join(_KIND_NAMES[k] for k in want)
-        given = ", ".join(_KIND_NAMES.get(k, "other") for k in got)
-        raise PresetArgumentError(f"{name} expects ({expected}) arguments, got ({given})")
-
-
 def preset(name: str, params: tuple) -> Algebra:
     """Named preset constructor. Raises PresetArgumentError when the
-    arguments do not match the preset's kinds (``_ARGUMENT_KINDS``) and
-    ValueError on unknown names or refused values."""
-    _check_arguments(name, params)
-    if name == "matrix_algebra":
-        n, p = params
-        return matrix_algebra(int(n), int(p))
-    if name == "upper_triangular":
-        n, p = params
-        return upper_triangular(int(n), int(p))
-    if name == "truncated_polynomial":
-        m, p = params
-        return truncated_polynomial(int(m), int(p))
-    if name == "commutative_split":
-        k, p = params
-        return commutative_split(int(k), int(p))
-    if name == "group_algebra":
-        gname, p = params
-        table = _named_group_table(gname)
-        return group_algebra(table, int(p), name=f"group_algebra({gname},{int(p)})")
-    if name == "product":
-        return product_algebra(list(params))
-    raise ValueError(f"unknown preset {name!r}")
+    arguments do not match the preset's kinds (``_PRESETS``) and ValueError
+    on unknown names or refused values."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    kinds, build = _PRESETS[name]
+    got = tuple(_kind(q) for q in params)
+    if got != (kinds or (Algebra,) * max(1, len(params))):
+        expected = ", ".join(_KIND_NAMES[k] for k in kinds) if kinds else "one or more algebra"
+        given = ", ".join(_KIND_NAMES.get(k, "other") for k in got)
+        raise PresetArgumentError(f"{name} expects ({expected}) arguments, got ({given})")
+    return build(*params)
 
 
 def gallery() -> list[Algebra]:
