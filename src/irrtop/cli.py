@@ -57,7 +57,6 @@ from .pointclosure import (
 from .presets import gallery, upper_triangular
 from .topology import (
     CLOSURE_POINT_CAP,
-    closed_form,
     enumerate_irr,
     refined_closure,
     vanishing_set,
@@ -263,10 +262,10 @@ def _cmd_zlattice(args) -> Doc:
     family = zariski_closed_family(space)
     result = Doc()
     result.add("count", len(family))
-    for z in family:
+    for ids, dim in family.items():
         node = result.node("closed_set")
-        node.add("points", " ".join(str(i) for i in sorted(z.point_ids)))
-        node.add("ideal_dim", z.ideal_subspace.dim)
+        node.add("points", " ".join(str(i) for i in sorted(ids)))
+        node.add("ideal_dim", dim)
     return result
 
 
@@ -325,8 +324,7 @@ def _cmd_point_closure(args) -> Doc:
     space = enumerate_irr(a, args.seed)
     if len(space.points) > FINITE_POINT_CAP:
         raise TopologyError(f"finite point closure capped at {FINITE_POINT_CAP} points")
-    zar = zariski_closed_family(space)
-    fin = FiniteSpace.make([pt.id for pt in space.points], [z.point_ids for z in zar])
+    fin = FiniteSpace.make([pt.id for pt in space.points], list(zariski_closed_family(space)))
     fam = point_closure(fin)
     result.add("space", "finite")
     result.add("points", " ".join(str(pt.id) for pt in space.points))
@@ -344,11 +342,11 @@ def _cmd_compare(args) -> Doc:
     npts = len(space.points)
     if npts > CLOSURE_POINT_CAP:
         raise DomainError(f"compare enumerates subsets; capped at {CLOSURE_POINT_CAP} points")
-    reports = {z.point_ids: closed_form(space, z.point_ids, z.ideal_subspace) for z in zariski_closed_family(space)}
-    zar = set(reports)
+    family = zariski_closed_family(space)
+    zar = set(family)
     fin = FiniteSpace.make([pt.id for pt in space.points], zar)
     pc = point_closure(fin).point_sets()
-    refined = {ids for ids, rep in reports.items() if rep.is_refined_closed}
+    refined = zar  # every point set is refined-closed (see refined_closure)
     powerset_count = 2**npts
     discrete = len(pc) == powerset_count and len(refined) == powerset_count and len(zar) == powerset_count
     all_equal = zar == pc == refined
@@ -371,11 +369,10 @@ def _cmd_compare(args) -> Doc:
         node.add("points", " ".join(str(i) for i in sorted(ids)))
         tags = [name for name, fam in (("zariski", zar), ("refined", refined), ("point-closure", pc)) if ids in fam]
         node.add("tags", " ".join(tags))
-        rep = reports.get(ids)
-        if rep is not None and rep.found:
-            node.add("ideal_dim", rep.ideal_subspace.dim)
-            node.add("v_points", " ".join(str(i) for i in sorted(rep.v_points)))
-            node.add("finite_part", " ".join(str(i) for i in sorted(rep.finite_part)))
+        if ids in family:  # its own vanishing set, with no finite part
+            node.add("ideal_dim", family[ids])
+            node.add("v_points", " ".join(str(i) for i in sorted(ids)))
+            node.add("finite_part", "")
     return result
 
 

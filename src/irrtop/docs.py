@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, check_dim
+from .algebra import ALGEBRA_DIM_CAP, Algebra, check_dim
 from .linalg import PRIME_BOUND, is_prime
-from .modules import ModuleRep, regular_module, spin, sub_quotient
+from .modules import ModuleRep, check_module, regular_module, spin, sub_quotient
 from .presets import PresetArgumentError, preset
 
 __all__ = [
@@ -519,6 +519,9 @@ def parse_family(text: str) -> tuple[FamilyDoc | None, list[Diagnostic]]:
                 if vals is None or len(vals) != 1 or vals[0] < 0:
                     diags.append(Diagnostic(ln, col, "explicit factor expects a dimension"))
                     continue
+                if vals[0] > ALGEBRA_DIM_CAP:
+                    diags.append(Diagnostic(ln, col, f"explicit factor dimension {vals[0]} exceeds the cap {ALGEBRA_DIM_CAP}"))
+                    continue
                 factors.append(FactorSpec("explicit", n=vals[0]))
                 open_explicit = True
             else:
@@ -579,12 +582,13 @@ def load_family_algebra(doc: FamilyDoc, base_dir: str) -> Algebra:
 
 def resolve_factors(a: Algebra, specs, seed: int = 0) -> list[ModuleRep]:
     """Instantiate factor specs against an algebra; simple#k follows the
-    enumeration order of the irreducible-class listing."""
+    enumeration order of the irreducible-class listing. An explicit factor
+    must satisfy the module axioms (``check_module``)."""
     from .topology import enumerate_irr
 
     out: list[ModuleRep] = []
     space = None
-    for spec in specs:
+    for k, spec in enumerate(specs):
         if spec.kind == "regular":
             m = regular_module(a)
         elif spec.kind == "simple":
@@ -608,6 +612,9 @@ def resolve_factors(a: Algebra, specs, seed: int = 0) -> list[ModuleRep]:
                     raise ValueError(f"act entry ({i},{r},{c}) out of range")
                 act[i, r, c] = v
             m = ModuleRep(a, spec.n, act)
+            problems = check_module(m)
+            if problems:
+                raise ValueError(f"factor {k} (explicit {spec.n}) is not a module: " + "; ".join(problems))
         else:
             raise ValueError(f"unknown factor kind {spec.kind!r}")
         if spec.label:

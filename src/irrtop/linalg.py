@@ -296,15 +296,6 @@ class Subspace:
         keep = [i for i in range(rank) if pivots[i] >= n]
         return Subspace(self.p, n, r[keep, n:], tuple(pivots[i] - n for i in keep))
 
-    def meet_kernel(self, h: np.ndarray) -> "Subspace":
-        """The meet with the kernel of h: {xU : x (U h^T) = 0} for the basis
-        U, one kernel of a dim x rows(h) matrix. With U and X = ker(h U^T) in
-        RREF, XU is in RREF with pivots U.pivots[X.pivots]: U is the identity
-        on its pivot columns, so there XU equals X, and row i of XU starts
-        where row X.pivots[i] of U does."""
-        x = kernel((np.asarray(h, dtype=np.int64) @ self.basis.T) % self.p, self.p)
-        return Subspace(self.p, self.ambient, (x.basis @ self.basis) % self.p, tuple(self.pivots[i] for i in x.pivots))
-
     def check_matrix(self) -> np.ndarray:
         """A (ambient - dim) x ambient matrix whose kernel is exactly this
         subspace. The row of a free column f is 1 at f and minus the basis

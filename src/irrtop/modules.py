@@ -62,14 +62,21 @@ class ModuleRep:
 
 def check_module(m: ModuleRep) -> list[str]:
     """Module-axiom report: action respects the structure constants and the
-    identity acts as the identity matrix. Empty iff valid."""
-    a, p = m.algebra, m.p
+    identity acts as the identity matrix. Empty iff valid.
+
+    One basis element i at a time: action[i] @ action[j] against
+    sum_t mul[i, j, t] action[t], for every j at once, so no (d, d, n, n)
+    tensor is formed."""
+    a, p, d = m.algebra, m.p, m.algebra.dim
     report: list[str] = []
     if m.n == 0:
         return report
-    lhs = np.einsum("ikl,jlm->ijkm", m.action, m.action) % p
-    rhs = np.einsum("ijt,tkm->ijkm", a.mul, m.action) % p
-    bad = np.argwhere((lhs != rhs).any(axis=(2, 3)))
+    flat = m.action.reshape(d, m.n * m.n)
+    bad = []
+    for i in range(d):
+        lhs = np.matmul(m.action[i], m.action) % p
+        rhs = (a.mul[i] @ flat % p).reshape(lhs.shape)
+        bad.extend((i, j) for j in np.flatnonzero((lhs != rhs).any(axis=(1, 2))))
     for i, j in bad[:32]:
         report.append(f"action of {a.basis_name(i)}*{a.basis_name(j)} is not the composite action")
     if len(bad) > 32:

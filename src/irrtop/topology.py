@@ -9,20 +9,21 @@ simples has only its summands as factors. All three topologies are discrete;
 only ideals are computed (meets, vanishing sets, closed-form ideals).
 
 A meet of annihilators is the annihilator of the sum of the class modules,
-so it is computed as a kernel: of the stacked check matrices of the
-annihilators (``ann_meet``), or of one check matrix restricted to a meet
-already built (the lattice). Each meet is checked against the Chinese
-remainder identity dim meet(S) = d - sum over i in S of codim ann(i).
+so a meet whose basis is printed is one kernel of the stacked check matrices
+of the annihilators (``ann_meet``), checked against the Chinese remainder
+identity dim meet(S) = d - sum over i in S of codim ann(i). The Zariski
+family needs only the dimensions, which that identity gives; one checked
+meet over all points certifies it for every point set.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .algebra import Algebra, Ideal
 from .linalg import Subspace
-from .meataxe import CRT_FAILURE, annihilator_meet, simple_classes
+from .meataxe import annihilator_meet, simple_classes
 from .modules import ModuleRep, annihilator_subspace
 
 __all__ = [
@@ -31,11 +32,9 @@ __all__ = [
     "ZClosed",
     "enumerate_irr",
     "vanishing_set",
-    "semiprimitive_subspaces",
     "zariski_closed_family",
     "refined_closure",
     "FormReport",
-    "closed_form",
     "verify_closed_form",
 ]
 
@@ -72,12 +71,6 @@ class IrrSpace:
         algebra."""
         return annihilator_meet(self.algebra, [self.points[i].ann.subspace for i in sorted(set(ids))])
 
-    @cached_property
-    def _lattice(self) -> "_MeetLattice":
-        """The Zariski lattice, built on first use and kept for the life of
-        this space."""
-        return _MeetLattice(self)
-
     def identify(self, simple: ModuleRep) -> int:
         """Point id of a certified-simple module, looked up by annihilator
         (the annihilator determines the class of a simple module)."""
@@ -88,39 +81,6 @@ class IrrSpace:
             if pt.dim == simple.n and pt.ann.subspace == key:
                 return pt.id
         raise ValueError("simple module matches no enumerated class")
-
-
-def _ids(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-class _MeetLattice:
-    """Every meet of point annihilators, memoized over point bitmasks.
-
-    meets[S] is the intersection of ann(i) over the points i in S, with
-    meets[0] the whole algebra. meets[S] is meets[S - {max S}] cut by the
-    check matrix of ann(max S) (``Subspace.meet_kernel``): one kernel of a
-    codim x dim matrix per nonempty S, no re-elimination. Each step is
-    checked to lower the dimension by the codimension of ann(max S), the
-    row count of its check matrix (Chinese remainder). As every ann(i) is
-    proper, meets[S] then lies in ann(i) only for i in S.
-    """
-
-    def __init__(self, space: IrrSpace):
-        n = len(space)
-        if n > ZARISKI_POINT_CAP:
-            raise ValueError(f"semiprimitive lattice capped at {ZARISKI_POINT_CAP} points")
-        d = space.algebra.dim
-        checks = [pt.ann.subspace.check_matrix() for pt in space.points]
-        meets = [Subspace.full(d, space.algebra.p)]
-        for s in range(1, 1 << n):
-            top = s.bit_length() - 1
-            rest = meets[s ^ 1 << top]
-            meet = rest.meet_kernel(checks[top])
-            if meet.dim != rest.dim - len(checks[top]):
-                raise AssertionError(CRT_FAILURE)
-            meets.append(meet)
-        self.meets = meets
 
 
 def enumerate_irr(a: Algebra, seed: int = 0) -> IrrSpace:
@@ -161,19 +121,29 @@ def vanishing_set(space: IrrSpace, ideal: Ideal) -> ZClosed:
     return ZClosed(space, space.ann_meet(ids), ids)
 
 
-def semiprimitive_subspaces(space: IrrSpace) -> dict[Subspace, frozenset[int]]:
-    """All meets of point annihilators (including the empty meet, the whole
-    algebra), each mapped to its vanishing point set: one per point set, in
-    ascending bitmask order."""
-    return {meet: _ids(s) for s, meet in enumerate(space._lattice.meets)}
+def zariski_closed_family(space: IrrSpace) -> dict[frozenset[int], int]:
+    """All Zariski closed sets, each mapped to the dimension of its ideal, in
+    the order (size, sorted ids).
 
-
-def zariski_closed_family(space: IrrSpace) -> list[ZClosed]:
-    """All Zariski closed sets: the power set of the points, each with the
-    meet of its annihilators."""
-    family = [ZClosed(space, sub, ids) for sub, ids in semiprimitive_subspaces(space).items()]
-    family.sort(key=lambda z: (len(z.point_ids), sorted(z.point_ids)))
-    return family
+    Every point set S is closed, with ideal the meet of its annihilators, of
+    dimension d - sum over i in S of codim ann(i) (Chinese remainder). One
+    checked meet over all points certifies that for every S: the meet of U
+    and V has codimension at most codim U + codim V, so each step of a chain
+    from the empty set through S to all points lowers the dimension by at
+    most codim ann(i), and the identity for all points makes every step
+    tight. As each ann(i) is proper, a tight step lowers the dimension, so S
+    is also the whole vanishing set of its meet."""
+    n = len(space)
+    if n > ZARISKI_POINT_CAP:
+        raise ValueError(f"semiprimitive lattice capped at {ZARISKI_POINT_CAP} points")
+    space.ann_meet(space.all_ids())
+    d = space.algebra.dim
+    codims = [d - pt.ann.dim for pt in space.points]
+    return {
+        frozenset(ids): d - sum(codims[i] for i in ids)
+        for k in range(n + 1)
+        for ids in itertools.combinations(range(n), k)
+    }
 
 
 def refined_closure(space: IrrSpace, ids, seed: int = 0) -> frozenset[int]:
@@ -203,29 +173,20 @@ class FormReport:
     ideal_semiprimitive: bool = False
 
 
-def closed_form(space: IrrSpace, selection: frozenset[int], meet: Subspace) -> FormReport:
-    """Decomposition of a point set whose annihilator meet is ``meet``.
-    Every point set is closed, so the selection is its own vanishing set,
-    with the meet as ideal and no finite part. The meet's dimension is
-    checked against the Chinese remainder identity."""
-    d = space.algebra.dim
-    if meet.dim != d - sum(d - space.points[i].ann.dim for i in selection):
-        raise AssertionError(CRT_FAILURE)
+def verify_closed_form(space: IrrSpace, ids, seed: int = 0) -> FormReport:
+    """Check a point set is refined-closed and decompose it as
+    vanishing-set-plus-finite-set, minimizing the finite part. Every point
+    set is closed, so the selection is its own vanishing set, with the
+    checked meet of its annihilators as ideal and no finite part; ``seed``
+    is unused."""
+    selection = refined_closure(space, ids, seed)
     return FormReport(
         space,
         selection,
         True,
         selection,
         found=True,
-        ideal_subspace=meet,
+        ideal_subspace=space.ann_meet(selection),
         v_points=selection,
         ideal_semiprimitive=True,
     )
-
-
-def verify_closed_form(space: IrrSpace, ids, seed: int = 0) -> FormReport:
-    """Check a point set is refined-closed and decompose it as
-    vanishing-set-plus-finite-set, minimizing the finite part (see
-    ``closed_form``); ``seed`` is unused."""
-    selection = refined_closure(space, ids, seed)
-    return closed_form(space, selection, space.ann_meet(selection))

@@ -121,7 +121,7 @@ def test_criterion_3_refined_equals_zariski_on_presets():
         subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2**n)]
         for ids in subsets:
             ok &= refined_closure(space, ids, 0) == ids
-        zar = {z.point_ids for z in zariski_closed_family(space)}
+        zar = set(zariski_closed_family(space))
         ok &= zar == set(subsets)  # Zariski discrete
         fin = FiniteSpace.make(range(n), zar)
         ok &= point_closure(fin).point_sets() == frozenset(subsets)

@@ -26,6 +26,7 @@ from irrtop.presets import (
     truncated_polynomial,
     upper_triangular,
 )
+from irrtop.topology import enumerate_irr
 
 
 def field_algebra(p):
@@ -110,6 +111,45 @@ def test_identity_acts_as_identity_everywhere():
         reg = regular_module(a)
         assert (reg.act(a.one) == np.eye(a.dim, dtype=np.int64)).all()
         assert check_module(reg) == []
+
+
+def check_module_oracle(m):
+    """The module axioms as two dense (d, d, n, n) tensors: every product
+    action[i] @ action[j] against sum_t mul[i, j, t] action[t]."""
+    a, p = m.algebra, m.p
+    if m.n == 0:
+        return []
+    lhs = np.einsum("ikl,jlm->ijkm", m.action, m.action) % p
+    rhs = np.einsum("ijt,tkm->ijkm", a.mul, m.action) % p
+    bad = np.argwhere((lhs != rhs).any(axis=(2, 3)))
+    report = [f"action of {a.basis_name(i)}*{a.basis_name(j)} is not the composite action" for i, j in bad[:32]]
+    if len(bad) > 32:
+        report.append(f"... and {len(bad) - 32} more action violations")
+    if (m.act(a.one) != np.eye(m.n, dtype=np.int64)).any():
+        report.append("identity element does not act as the identity matrix")
+    return report
+
+
+def test_check_module_matches_the_dense_oracle():
+    rng = np.random.default_rng(11)
+    seen_bad = seen_many = 0
+    for a in gallery() + [matrix_algebra(3, 2), group_algebra(cyclic_group_table(6), 3)]:
+        mods = [regular_module(a), zero_module(a)] + [pt.rep for pt in enumerate_irr(a, 0).points]
+        for m in list(mods):
+            if m.n == 0:
+                continue
+            for _ in range(3):
+                act = m.action.copy()
+                i, r, c = (int(rng.integers(0, k)) for k in act.shape)
+                act[i, r, c] = (act[i, r, c] + int(rng.integers(1, a.p))) % a.p
+                mods.append(ModuleRep(a, m.n, act))
+            mods.append(ModuleRep(a, m.n, 2 * m.action))
+        for m in mods:
+            got = check_module(m)
+            assert got == check_module_oracle(m), a.name
+            seen_bad += bool(got)
+            seen_many += any(line.startswith("...") for line in got)
+    assert seen_bad and seen_many
 
 
 def test_ideal_generated_by_one_is_whole():

@@ -1,6 +1,8 @@
 """Document parsing (totality, diagnostics, round trips) and the command
 line surface (dispatch, determinism, exit codes)."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from irrtop.docs import (
     render_report,
     serialize_algebra_doc,
 )
+from irrtop.linalg import Subspace
 
 UT2_PRESET = "preset: upper_triangular(2, 2)\n"
 
@@ -285,20 +288,61 @@ def test_cli_radical_and_compare(tmp_path):
     assert "summary: zariski = refined = point-closure = discrete (4 closed sets)" in out
 
 
+@pytest.mark.parametrize("command", ["compare", "zlattice"])
 @pytest.mark.parametrize("n", [3, 5])
-def test_cli_compare_reads_the_lattice_it_built(tmp_path, monkeypatch, n):
-    # One meet per lattice member, each a restriction of the meet below it
-    # to a kernel; no Zassenhaus intersection anywhere in the command.
-    from irrtop.linalg import Subspace
-
+def test_cli_zariski_family_takes_one_meet(tmp_path, monkeypatch, command, n):
+    # The family's dimensions come from the Chinese remainder identity: one
+    # checked meet over all points, and no Zassenhaus intersection anywhere.
     calls = []
-    for name in ("meet_kernel", "intersect"):
-        method = getattr(Subspace, name)
-        monkeypatch.setattr(Subspace, name, lambda u, v, method=method, name=name: calls.append(name) or method(u, v))
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("irrtop") and hasattr(mod, "annihilator_meet"):
+            inner = mod.annihilator_meet
+            monkeypatch.setattr(mod, "annihilator_meet", lambda *a, inner=inner: calls.append("meet") or inner(*a))
+    intersect = Subspace.intersect
+    monkeypatch.setattr(Subspace, "intersect", lambda u, v: calls.append("intersect") or intersect(u, v))
     alg = _write(tmp_path, "cs.alg", f"preset: commutative_split({n}, 2)\n")
-    code, out = run(["compare", "--in", alg, "--format", "structured"])
-    assert code == 0 and out.count("finite_part:\n") == 2**n
-    assert calls == ["meet_kernel"] * (2**n - 1)
+    code, out = run([command, "--in", alg, "--format", "structured"])
+    assert code == 0 and out.count("ideal_dim: ") == 2**n
+    assert calls == ["meet"]
+
+
+def test_cli_zlattice_refuses_more_than_16_points(tmp_path):
+    alg = _write(tmp_path, "cs17.alg", "preset: commutative_split(17, 2)\n")
+    assert run(["zlattice", "--in", alg, "--format", "structured"])[:2] == (
+        1,
+        "error: semiprimitive lattice capped at 16 points\n",
+    )
+
+
+# Not a module: the identity e11 + e22 acts as [[0, 1], [0, 1]].
+NON_MODULE_FAMILY = """\
+algebra: preset upper_triangular(2, 2)
+factor: explicit 2
+act: 0 0 1 1
+act: 2 1 1 1
+"""
+
+
+@pytest.mark.parametrize("command", ["embed", "stability", "embed-chain", "embed-staged", "sufficiency"])
+def test_cli_refuses_an_explicit_factor_that_is_not_a_module(tmp_path, command):
+    fam = _write(tmp_path, "bad.fam", NON_MODULE_FAMILY)
+    code, out = run([command, "--in", fam, "--format", "structured"])[:2]
+    assert code == 1 and out.count("\n") == 1
+    assert out.startswith("error: factor 0 (explicit 2) is not a module: ")
+    assert "identity element does not act as the identity matrix" in out
+
+
+def test_an_explicit_factor_above_the_cap_is_one_positioned_diagnostic(tmp_path):
+    text = "algebra: preset upper_triangular(2, 2)\nfactor: regular\nfactor: explicit 100000000\n"
+    doc, diags = parse_family(text)
+    assert doc is None
+    assert [(d.line, d.col, d.message) for d in diags] == [(3, 8, "explicit factor dimension 100000000 exceeds the cap 144")]
+    assert run(["embed", "--in", _write(tmp_path, "huge.fam", text), "--format", "structured"])[:2] == (
+        2,
+        "error: family parse failed: 3:8: explicit factor dimension 100000000 exceeds the cap 144\n",
+    )
+    doc, diags = parse_family(text.replace("100000000", "144") + "act: 0 0 0 1\n")
+    assert doc is not None and doc.factors[1].n == 144
 
 
 def test_cli_vset_and_zlattice(tmp_path):

@@ -9,7 +9,9 @@ summands as composition factors. The computations these facts made
 redundant are kept here as oracles and must agree with the fast paths on
 every gallery algebra: the pairwise-intertwiner grouping, the
 composition-factor refined closure, the minimal-finite-part closed-form
-search, the per-factor radical and the per-subfamily deletion fold."""
+search, the meet of every point set behind the Zariski family's
+Chinese-remainder dimensions, the per-factor radical and the per-subfamily
+deletion fold."""
 
 import itertools
 import sys
@@ -30,10 +32,11 @@ from irrtop.topology import (
     IrrSpace,
     enumerate_irr,
     refined_closure,
-    semiprimitive_subspaces,
     verify_closed_form,
     zariski_closed_family,
 )
+
+from test_check_matrices import intersect_fold
 
 SEEDS = range(3)
 
@@ -212,6 +215,18 @@ def test_closed_form_matches_minimal_finite_part_search(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_zariski_family_dimensions_match_every_meet(seed):
+    for a in gallery():
+        space = enumerate_irr(a, seed)
+        family = zariski_closed_family(space)
+        assert list(family) == sorted(_subsets(len(space)), key=lambda s: (len(s), sorted(s))), a.name
+        anns = [pt.ann.subspace for pt in space.points]
+        for ids, dim in family.items():
+            assert dim == space.ann_meet(ids).dim == intersect_fold(a, [anns[i] for i in ids]).dim, (a.name, ids)
+        assert {ids: meet.dim for meet, ids in closed_sets_oracle(space).items()} == family, a.name
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_radical_matches_per_factor_intersection(seed):
     for a in gallery():
         assert jacobson_radical(a, seed).subspace == jacobson_radical_oracle(a, seed), a.name
@@ -260,8 +275,6 @@ def _fabricated_space():
 def test_chinese_remainder_self_check_rejects_a_non_simple_point():
     with pytest.raises(AssertionError, match="Chinese remainder"):
         zariski_closed_family(_fabricated_space())
-    with pytest.raises(AssertionError, match="Chinese remainder"):
-        semiprimitive_subspaces(_fabricated_space())
     with pytest.raises(AssertionError, match="Chinese remainder"):
         verify_closed_form(_fabricated_space(), {0, 1}, 0)
     # A set on which the identity holds still passes.

@@ -15,14 +15,13 @@ from irrtop.presets import (
     upper_triangular,
 )
 from irrtop.topology import (
-    IrrSpace,
     enumerate_irr,
     refined_closure,
-    semiprimitive_subspaces,
     vanishing_set,
     verify_closed_form,
     zariski_closed_family,
 )
+from test_theory_oracles import closed_sets_oracle
 
 
 def test_enumerate_field_one_point():
@@ -76,13 +75,13 @@ def test_vanishing_set_ut2_example():
 def test_zariski_family_one_point_space():
     sp = enumerate_irr(matrix_algebra(1, 2), 0)
     fam = zariski_closed_family(sp)
-    assert sorted(len(z.point_ids) for z in fam) == [0, 1]
+    assert sorted(len(ids) for ids in fam) == [0, 1]
 
 
 def test_zariski_family_ut2_discrete():
     sp = enumerate_irr(upper_triangular(2, 2), 0)
     fam = zariski_closed_family(sp)
-    assert {z.point_ids for z in fam} == {
+    assert set(fam) == {
         frozenset(),
         frozenset({0}),
         frozenset({1}),
@@ -93,14 +92,13 @@ def test_zariski_family_ut2_discrete():
 def test_zariski_family_simple_algebra_trivial():
     sp = enumerate_irr(matrix_algebra(2, 2), 0)
     fam = zariski_closed_family(sp)
-    assert {z.point_ids for z in fam} == {frozenset(), frozenset({0})}
+    assert fam == {frozenset(): 4, frozenset({0}): 0}
 
 
 def test_vanishing_inclusion_reversing_and_strict():
     for a in gallery():
         sp = enumerate_irr(a, 0)
-        lattice = semiprimitive_subspaces(sp)
-        items = list(lattice.items())
+        items = list(closed_sets_oracle(sp).items())
         for (s1, v1), (s2, v2) in itertools.product(items, repeat=2):
             if s2.contains_space(s1):
                 assert v2 <= v1
@@ -140,8 +138,8 @@ def test_refined_closure_is_closure_operator():
 def test_every_vanishing_set_is_refined_closed():
     for a in gallery():
         sp = enumerate_irr(a, 0)
-        for z in zariski_closed_family(sp):
-            assert refined_closure(sp, z.point_ids, 0) == z.point_ids, a.name
+        for ids in zariski_closed_family(sp):
+            assert refined_closure(sp, ids, 0) == ids, a.name
 
 
 def test_closed_form_whole_space():
@@ -196,25 +194,13 @@ def test_identify_rejects_unknown():
         sp.identify(other.points[0].rep)
 
 
-def _worklist_semiprimitive_subspaces(space: IrrSpace) -> dict:
-    """Oracle: the meet lattice by rediscovery, intersecting every found
-    meet with every point annihilator until nothing new appears."""
-    found = {}
-    work = [Subspace.full(space.algebra.dim, space.algebra.p)]
-    while work:
-        sub = work.pop()
-        if sub in found:
-            continue
-        found[sub] = frozenset(pt.id for pt in space.points if pt.ann.subspace.contains_space(sub))
-        for pt in space.points:
-            work.append(sub.intersect(pt.ann.subspace))
-    return found
-
-
 def test_memoized_lattice_matches_worklist_oracle():
+    # The closed family, read from one checked meet, equals the lattice a
+    # worklist rediscovers by intersecting meets with every annihilator.
     for a in gallery():
         sp = enumerate_irr(a, 0)
-        assert semiprimitive_subspaces(sp) == _worklist_semiprimitive_subspaces(sp), a.name
+        want = {ids: meet.dim for meet, ids in closed_sets_oracle(sp).items()}
+        assert zariski_closed_family(sp) == want, a.name
 
 
 def test_memoized_meets_satisfy_chinese_remainder():
@@ -222,22 +208,11 @@ def test_memoized_meets_satisfy_chinese_remainder():
     # one a meet takes in lowers its dimension by its full codimension.
     for a in gallery():
         sp = enumerate_irr(a, 0)
-        meets = sp._lattice.meets
+        family = zariski_closed_family(sp)
         d = a.dim
         for mask in range(2 ** len(sp)):
-            ids = [i for i in range(len(sp)) if mask >> i & 1]
-            assert meets[mask] == sp.ann_meet(ids), a.name
-            assert meets[mask].dim == d - sum(d - sp.points[i].ann.dim for i in ids), a.name
-
-
-def test_lattice_is_built_once_and_only_by_lattice_consumers():
-    a = commutative_split(4, 2)
-    sp = enumerate_irr(a, 0)
-    vanishing_set(sp, Ideal(a, Subspace.zero(4, 2), "two-sided"))
-    assert "_lattice" not in vars(sp)
-    zariski_closed_family(sp)
-    lattice = vars(sp)["_lattice"]
-    verify_closed_form(sp, {0, 2}, 0)
-    semiprimitive_subspaces(sp)
-    assert vars(sp)["_lattice"] is lattice
-    assert enumerate_irr(a, 0)._lattice is not lattice
+            ids = frozenset(i for i in range(len(sp)) if mask >> i & 1)
+            meet = sp.ann_meet(ids)
+            assert meet.dim == d - sum(d - sp.points[i].ann.dim for i in ids), a.name
+            assert family[ids] == meet.dim, a.name
+            assert all(sp.points[i].ann.subspace.contains_space(meet) for i in ids), a.name
