@@ -250,10 +250,15 @@ def is_ideal(a: Algebra, s: Subspace, sided: str = "two-sided") -> bool:
 
 
 def product_space(a: Algebra, u: Subspace, v: Subspace) -> Subspace:
-    """Span of every product x*y with x in u and y in v: one einsum over
-    the basis pairs, then one elimination."""
-    rows = np.einsum("ri,sj,ijk->rsk", u.basis, v.basis, a.mul) % a.p
-    return Subspace.from_rows(rows.reshape(-1, a.dim), a.p, ambient=a.dim)
+    """Span of every product x*y with x in u and y in v, then one
+    elimination. Two float64 products, each reduced mod p: U.lam as a
+    (dim u, d * d) matrix, then its contraction with V. Each sum has d terms
+    below (p - 1)**2, and the Algebra bound d**2 * (p - 1)**3 < 2**63 with
+    p < 2**20 keeps d * (p - 1)**2 below 2**42, so both are exact."""
+    d, p = a.dim, a.p
+    ul = (u.basis.astype(np.float64) @ a.mul.reshape(d, d * d).astype(np.float64)) % p
+    rows = (v.basis.astype(np.float64) @ ul.reshape(u.dim, d, d)) % p  # [r, s, k]
+    return Subspace.from_rows(rows.astype(np.int64).reshape(-1, d), p, ambient=d)
 
 
 def ideal_generated(a: Algebra, gens, sided: str = "two-sided") -> Ideal:

@@ -266,6 +266,13 @@ class AlgebraDoc:
         return isinstance(other, AlgebraDoc) and self.normalized() == other.normalized()
 
 
+def _value_col(line: str, start: int) -> int:
+    """1-based column of the first non-blank character of line at or after
+    the 0-based index start; one past the end when there is none."""
+    tail = line[start:]
+    return start + len(tail) - len(tail.lstrip()) + 1
+
+
 def _strip_comment(raw: str) -> str:
     """Drop a trailing comment: '#' at line start or preceded by blank."""
     if raw.startswith("#"):
@@ -313,7 +320,7 @@ def parse_algebra(text: str) -> tuple[AlgebraDoc | None, list[Diagnostic]]:
         key, _, rest = line.partition(":")
         key = key.strip().lower()
         rest = rest.strip()
-        col = line.index(":") + 2
+        col = _value_col(line, line.index(":") + 1)
         if key == "preset":
             if doc.preset_text:
                 diags.append(Diagnostic(ln, col, "duplicate preset line"))
@@ -471,7 +478,7 @@ def parse_family(text: str) -> tuple[FamilyDoc | None, list[Diagnostic]]:
         key, _, rest = line.partition(":")
         key = key.strip().lower()
         rest = rest.strip()
-        col = line.index(":") + 2
+        col = _value_col(line, line.index(":") + 1)
         if key == "algebra":
             if doc.algebra_kind:
                 diags.append(Diagnostic(ln, col, "duplicate algebra line"))
@@ -481,7 +488,8 @@ def parse_family(text: str) -> tuple[FamilyDoc | None, list[Diagnostic]]:
             if mode == "preset" and arg:
                 ast, err = parse_preset_expr(arg)
                 if err:
-                    diags.append(Diagnostic(ln, col + err[0] - 1, err[1]))
+                    arg_col = _value_col(line, col - 1 + len(mode))
+                    diags.append(Diagnostic(ln, arg_col + err[0] - 1, err[1]))
                     continue
                 doc.algebra_kind, doc.algebra_text = "preset", arg
             elif mode == "file" and arg:

@@ -18,15 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Ideal, quotient_algebra
-from .linalg import Subspace, all_vectors, as_vector, kernel, projective_vectors, ranks, rref
+from .linalg import Subspace, all_vectors, as_vector, kernel, projective_vectors, ranks
 from .meataxe import composition_factors
-from .modules import (
-    ModuleRep,
-    annihilator,
-    direct_sum,
-    regular_module,
-    spin,
-)
+from .modules import ModuleRep, annihilator, regular_module, spin
 
 __all__ = [
     "ProductFamily",
@@ -53,8 +47,9 @@ __all__ = [
 EXHAUSTIVE_CAP = 4096
 CANDIDATE_CAP = 256
 SAMPLE_BUDGET = 64
-# Most (candidate, row, column) entries one rank test of the witness scan
-# stacks at once.
+# Most entries one rank test stacks at once: (candidate, row, column) in the
+# witness scan, (candidate, basis element, coordinate) of the images b_i.y in
+# the best-vector search.
 RANK_CHUNK_ENTRIES = 1 << 16
 
 
@@ -113,6 +108,17 @@ def ann_of_vector(fam: ProductFamily, components) -> Ideal:
     return Ideal(a, kernel(_images(fam, comps, 1)[0], a.p), "left")
 
 
+def _meet_all(subspaces, d: int, p: int) -> Subspace:
+    """Meet of subspaces of GF(p)^d, in RREF: one kernel of their stacked
+    check matrices. The empty meet is the whole space; a meet with a zero
+    subspace, such as the annihilator of a faithful factor, is zero without
+    an elimination."""
+    if any(s.is_zero for s in subspaces):
+        return Subspace.zero(d, p)
+    checks = [s.check_matrix() for s in subspaces]
+    return kernel(np.vstack([np.zeros((0, d), dtype=np.int64)] + checks), p)
+
+
 def _factor_annihilators(a: Algebra, factors) -> list[Subspace]:
     """The annihilator of each factor. Factors with equal actions share one
     annihilator, computed and checked once."""
@@ -147,12 +153,14 @@ class EmbeddingWitness:
 
 
 def _witness(fam: ProductFamily, components, target: Ideal) -> EmbeddingWitness:
+    """The witness of an element x of the product, with its orbit dimension
+    from rank-nullity: every factor is unital (regular, simple and quotient
+    factors by construction, explicit ones by ``check_module`` at load), so
+    A.x is the span of the images b_i.x, the image of a -> a.x, whose
+    kernel is ann(x)."""
     comps = tuple(as_vector(v, fam.algebra.p) for v in components)
     ann = ann_of_vector(fam, comps)
-    big = direct_sum(fam.algebra, list(fam.factors))
-    x = np.concatenate([c for c in comps]) if comps else np.zeros(0, dtype=np.int64)
-    orbit = spin(big, [x]) if big.n else Subspace.zero(0, fam.algebra.p)
-    return EmbeddingWitness(fam, comps, ann, target, orbit.dim)
+    return EmbeddingWitness(fam, comps, ann, target, fam.algebra.dim - ann.dim)
 
 
 @dataclass(frozen=True)
@@ -185,10 +193,7 @@ def deletion_stability(fam: ProductFamily, target: Ideal, t: int) -> DeletionRep
             kept = frozenset(anns[i] for i in idx if i not in deleted)
             sub = meets.get(kept)
             if sub is None:
-                sub = Subspace.full(a.dim, a.p)
-                for s in kept:
-                    sub = sub.intersect(s)
-                meets[kept] = sub
+                sub = meets[kept] = _meet_all(kept, a.dim, a.p)
             checked += 1
             if sub != target.subspace:
                 failures.append((deleted, sub.dim))
@@ -218,7 +223,7 @@ def find_embedding(
     candidates are every element when the product has at most 4096 of them,
     else `budget` seeded random draws; a candidate passes when ann(x) equals
     the target. Since A.x is isomorphic to A/ann(x), its orbit then has the
-    right dimension, which one spin of the returned witness verifies.
+    right dimension d - dim ann(x).
 
     Once the scan starts the target is ann(product), which every ann(x)
     contains, so ann(x) equals it exactly when the images of x under the
@@ -227,9 +232,7 @@ def find_embedding(
     twice as many, up to RANK_CHUNK_ENTRIES stacked entries, so a scan that
     succeeds early draws at most about twice the candidates it needs."""
     a = fam.algebra
-    prod_ann = Subspace.full(a.dim, a.p)
-    for s in dict.fromkeys(_factor_annihilators(a, fam.factors)):
-        prod_ann = prod_ann.intersect(s)
+    prod_ann = _meet_all(dict.fromkeys(_factor_annihilators(a, fam.factors)), a.dim, a.p)
     if not prod_ann.contains_space(target.subspace):
         raise ValueError("target ideal must annihilate the whole product")
     if prod_ann != target.subspace:
@@ -260,7 +263,7 @@ def find_embedding(
             k = int(hits[0])
             w = _witness(fam, [c[k] for c in comps], target)
             if not w.valid:
-                raise AssertionError("search witness has the target annihilator but not its orbit dimension")
+                raise AssertionError("search witness has the rank of the target but another annihilator")
             return SearchOutcome("found", w, start + k + 1)
         start, size = start + count, min(2 * size, largest)
     return SearchOutcome("none" if exhaustive else "unknown", None, start)
@@ -310,15 +313,17 @@ def _candidate_vectors(n: int, p: int, rng: np.random.Generator):
             yield v
 
 
-def _meet_matrix(f: ModuleRep, s: Subspace, y) -> np.ndarray:
-    """Row j is s's basis vector w_j acting on y: for a basis W of s,
+def _meet_matrices(f: ModuleRep, s: Subspace, ys: np.ndarray) -> np.ndarray:
+    """Matrix k of the stack is the meet matrix of candidate ys[k]: row j is
+    s's basis vector w_j acting on y. For a basis W of s,
     s & ann(y) = {cW : c.(W.Y) = 0}, row i of Y being b_i.y."""
-    return (s.basis @ ((f.action @ y) % f.p)) % f.p
+    images = np.moveaxis((f.action @ ys.T) % f.p, 2, 0)  # (k, d, n): b_i.y_k
+    return (s.basis @ images) % f.p
 
 
 def _meet(f: ModuleRep, s: Subspace, y) -> Subspace:
     """s & ann(y), from the kernel of the meet matrix."""
-    coeffs = kernel(_meet_matrix(f, s, y).T, f.p)
+    coeffs = kernel(_meet_matrices(f, s, y.reshape(1, -1))[0].T, f.p)
     return Subspace.from_rows((coeffs.basis @ s.basis) % f.p, f.p, ambient=s.ambient)
 
 
@@ -328,19 +333,35 @@ def _best_vector(f: ModuleRep, mat: np.ndarray, running: Subspace, rng, slab: Su
     scan stops early at dimension 0. Returns (measured, y, running & ann(y)),
     or None when mat moves no candidate.
 
-    A candidate is scored by one rank: with W = running & slab (or running),
-    the measured dimension is dim W - rank(W.Y). Only the winner's meets are
-    built."""
-    w = running if slab is None else running.intersect(slab)
-    best = None
-    for y in _candidate_vectors(f.n, f.p, rng):
-        if not ((mat @ y) % f.p).any():
-            continue
-        dim = w.dim - rref(_meet_matrix(f, w, y), f.p)[1]
-        if best is None or dim < best[0]:
-            best = (dim, np.array(y, dtype=np.int64))
-        if dim == 0:
+    With W = running & slab (or running), the measured dimension is
+    dim W - rank(W.Y). Candidates are pulled in chunks of 1, 2, 4, ... (up
+    to RANK_CHUNK_ENTRIES entries of the stacked images b_i.y), and each
+    chunk is scored by one ``ranks`` call; only the winner's meets are
+    built. The generator state is saved after every pulled candidate, and
+    an early stop restores the state after the stopping one, so the draws
+    are those of a scan that pulls one candidate at a time."""
+    w = running if slab is None else _meet_all((running, slab), running.ambient, running.p)
+    largest = max(1, RANK_CHUNK_ENTRIES // max(1, f.algebra.dim * f.n))
+    cands = _candidate_vectors(f.n, f.p, rng)
+    best, size, stop = None, 1, False
+    while not stop:
+        ys, states = [], []
+        for y in itertools.islice(cands, size):
+            ys.append(y)
+            states.append(rng.bit_generator.state)
+        if not ys:
             break
+        ys = np.array(ys, dtype=np.int64)
+        moved = np.flatnonzero(((ys @ mat.T) % f.p).any(axis=1))
+        dims = w.dim - ranks(_meet_matrices(f, w, ys[moved]), f.p)
+        for k, dim in zip(moved, dims):
+            if best is None or dim < best[0]:
+                best = (int(dim), ys[k])
+            if dim == 0:
+                rng.bit_generator.state = states[k]
+                stop = True
+                break
+        size = min(2 * size, largest)
     if best is None:
         return None
     y = best[1]

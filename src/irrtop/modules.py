@@ -14,6 +14,9 @@ import numpy as np
 from .algebra import Algebra, Ideal, is_ideal
 from .linalg import Subspace, as_vector, kernel
 
+# Most entries of each side one block of the module-axiom check forms.
+CHECK_CHUNK_ENTRIES = 1 << 20
+
 __all__ = [
     "ModuleRep",
     "check_module",
@@ -64,19 +67,31 @@ def check_module(m: ModuleRep) -> list[str]:
     """Module-axiom report: action respects the structure constants and the
     identity acts as the identity matrix. Empty iff valid.
 
-    One basis element i at a time: action[i] @ action[j] against
-    sum_t mul[i, j, t] action[t], for every j at once, so no (d, d, n, n)
-    tensor is formed."""
-    a, p, d = m.algebra, m.p, m.algebra.dim
+    A block of basis elements i at a time: action[i] @ action[j] against
+    sum_t mul[i, j, t] action[t], for every j at once, both sides as float64
+    products and their difference reduced once in int64. The sums have n
+    and d terms below (p - 1)**2, so they are exact while
+    max(d, n) * (p - 1)**2 < 2**53: the Algebra bound keeps d * (p - 1)**2
+    below 2**42, and n would have to pass 2**13 at p near 2**20, an action
+    of d * 512 MiB. A block holds at most CHECK_CHUNK_ENTRIES entries of
+    each side."""
+    a, p, d, n = m.algebra, m.p, m.algebra.dim, m.n
     report: list[str] = []
-    if m.n == 0:
+    if n == 0:
         return report
-    flat = m.action.reshape(d, m.n * m.n)
+    act = m.action.astype(np.float64)
+    right = act.transpose(1, 0, 2).reshape(n, d * n)  # row k, column (j, l): action[j, k, l]
+    flat = act.reshape(d, n * n)
+    mul = a.mul.astype(np.float64)
+    step = max(1, CHECK_CHUNK_ENTRIES // (d * n * n))
     bad = []
-    for i in range(d):
-        lhs = np.matmul(m.action[i], m.action) % p
-        rhs = (a.mul[i] @ flat % p).reshape(lhs.shape)
-        bad.extend((i, j) for j in np.flatnonzero((lhs != rhs).any(axis=(1, 2))))
+    for i0 in range(0, d, step):
+        i1 = min(d, i0 + step)
+        b = i1 - i0
+        lhs = (act[i0:i1].reshape(b * n, n) @ right).reshape(b, n, d, n).transpose(0, 2, 1, 3)
+        rhs = (mul[i0:i1].reshape(b * d, d) @ flat).reshape(b, d, n, n)
+        diff = (lhs - rhs).astype(np.int64) % p
+        bad.extend((i0 + i, j) for i, j in np.argwhere(diff.any(axis=(2, 3))))
     for i, j in bad[:32]:
         report.append(f"action of {a.basis_name(i)}*{a.basis_name(j)} is not the composite action")
     if len(bad) > 32:

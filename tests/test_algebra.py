@@ -5,6 +5,7 @@ import pytest
 
 from irrtop.algebra import Algebra, Ideal, ideal_generated, is_ideal, product_algebra, quotient_algebra, validate_algebra
 from irrtop.linalg import PRIME_BOUND, Subspace, all_vectors, is_prime
+from irrtop import modules
 from irrtop.modules import (
     ModuleRep,
     annihilator,
@@ -130,6 +131,26 @@ def check_module_oracle(m):
     return report
 
 
+def check_module_per_element_oracle(m):
+    """The int64 check it replaced, one basis element i at a time:
+    action[i] @ action[j] against sum_t mul[i, j, t] action[t]."""
+    a, p, d = m.algebra, m.p, m.algebra.dim
+    if m.n == 0:
+        return []
+    flat = m.action.reshape(d, m.n * m.n)
+    bad = []
+    for i in range(d):
+        lhs = np.matmul(m.action[i], m.action) % p
+        rhs = (a.mul[i] @ flat % p).reshape(lhs.shape)
+        bad.extend((i, j) for j in np.flatnonzero((lhs != rhs).any(axis=(1, 2))))
+    report = [f"action of {a.basis_name(i)}*{a.basis_name(j)} is not the composite action" for i, j in bad[:32]]
+    if len(bad) > 32:
+        report.append(f"... and {len(bad) - 32} more action violations")
+    if (m.act(a.one) != np.eye(m.n, dtype=np.int64)).any():
+        report.append("identity element does not act as the identity matrix")
+    return report
+
+
 def test_check_module_matches_the_dense_oracle():
     rng = np.random.default_rng(11)
     seen_bad = seen_many = 0
@@ -146,10 +167,30 @@ def test_check_module_matches_the_dense_oracle():
             mods.append(ModuleRep(a, m.n, 2 * m.action))
         for m in mods:
             got = check_module(m)
-            assert got == check_module_oracle(m), a.name
+            assert got == check_module_oracle(m) == check_module_per_element_oracle(m), a.name
             seen_bad += bool(got)
             seen_many += any(line.startswith("...") for line in got)
     assert seen_bad and seen_many
+
+
+@pytest.mark.parametrize("entries", [modules.CHECK_CHUNK_ENTRIES, 1, 40])
+def test_check_module_blocks_match_the_per_element_oracle(monkeypatch, entries):
+    """One basis element per block, a few per block, and all at once; at
+    p = 2 and at the largest accepted prime, where each product entry is
+    near 2**40."""
+    monkeypatch.setattr(modules, "CHECK_CHUNK_ENTRIES", entries)
+    big = max(q for q in range(PRIME_BOUND - 64, PRIME_BOUND) if is_prime(q))
+    rng = np.random.default_rng(12)
+    for a in [matrix_algebra(3, 2), upper_triangular(3, 2), truncated_polynomial(2, big), commutative_split(2, big)]:
+        reg = regular_module(a)
+        mods = [reg]
+        for _ in range(4):
+            act = reg.action.copy()
+            act[tuple(int(rng.integers(0, k)) for k in act.shape)] += int(rng.integers(1, a.p))
+            mods.append(ModuleRep(a, a.dim, act))
+        for m in mods:
+            assert check_module(m) == check_module_per_element_oracle(m), a.name
+        assert check_module(reg) == [] and all(check_module(m) for m in mods[1:])
 
 
 def test_ideal_generated_by_one_is_whole():

@@ -6,20 +6,22 @@ Zassenhaus ``Subspace.intersect`` fold they replaced is
 the oracle here, on every gallery algebra and on the gallery shapes rebuilt
 at p in {2, 3, 5} and at the largest accepted prime, over every subset of
 the classes. The annihilator self-check contracts the check matrix with the
-structure constants; ``is_ideal`` is its oracle."""
+structure constants; ``is_ideal`` is its oracle. The embeddings folds (the
+product annihilator and the deletion meets) are kernels of stacked check
+matrices too, over factors that need not be simple."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrtop import cli, meataxe, modules
+from irrtop import cli, embeddings, meataxe, modules
 from irrtop.algebra import Ideal, ideal_generated, is_ideal
 from irrtop.cli import run
 from irrtop.docs import build_preset, parse_preset_expr
 from irrtop.linalg import PRIME_BOUND, Subspace, is_prime, kernel, rref
 from irrtop.meataxe import composition_factors, group_factors, jacobson_radical
-from irrtop.modules import annihilates_as_ideal, annihilator_subspace, regular_module, zero_module
+from irrtop.modules import annihilates_as_ideal, annihilator_subspace, regular_module, spin, sub_quotient, zero_module
 from irrtop.presets import gallery
 from irrtop.topology import IrrPoint, IrrSpace, enumerate_irr, vanishing_set
 
@@ -91,6 +93,23 @@ def test_kernel_meets_match_the_intersect_fold(a):
     rad = jacobson_radical(a, 0).subspace
     assert rad == intersect_fold(a, anns)
     assert_rref(rad)
+
+
+@pytest.mark.parametrize("a", [pytest.param(a, id=a.name.replace(" ", "")) for a in gallery()])
+def test_embedding_folds_match_the_intersect_fold(a):
+    """Annihilators of regular, simple, sub- and quotient modules: every
+    kernel fold over a subfamily, repeats and the empty family included."""
+    rng = np.random.default_rng(a.dim * a.p)
+    reg = regular_module(a)
+    factors = [reg, zero_module(a)] + [pt.rep for pt in enumerate_irr(a, 0).points]
+    for _ in range(2):
+        factors.extend(sub_quotient(reg, spin(reg, [rng.integers(0, a.p, size=a.dim)])))
+    anns = [annihilator_subspace(f) for f in factors]
+    for _ in range(40):
+        kept = [anns[i] for i in rng.integers(0, len(anns), size=int(rng.integers(0, 5)))]
+        got = embeddings._meet_all(kept, a.dim, a.p)
+        assert got == intersect_fold(a, kept), a.name
+        assert_rref(got)
 
 
 def test_meet_kernel_and_check_matrix_on_random_subspaces():

@@ -336,10 +336,10 @@ def test_an_explicit_factor_above_the_cap_is_one_positioned_diagnostic(tmp_path)
     text = "algebra: preset upper_triangular(2, 2)\nfactor: regular\nfactor: explicit 100000000\n"
     doc, diags = parse_family(text)
     assert doc is None
-    assert [(d.line, d.col, d.message) for d in diags] == [(3, 8, "explicit factor dimension 100000000 exceeds the cap 144")]
+    assert [(d.line, d.col, d.message) for d in diags] == [(3, 9, "explicit factor dimension 100000000 exceeds the cap 144")]
     assert run(["embed", "--in", _write(tmp_path, "huge.fam", text), "--format", "structured"])[:2] == (
         2,
-        "error: family parse failed: 3:8: explicit factor dimension 100000000 exceeds the cap 144\n",
+        "error: family parse failed: 3:9: explicit factor dimension 100000000 exceeds the cap 144\n",
     )
     doc, diags = parse_family(text.replace("100000000", "144") + "act: 0 0 0 1\n")
     assert doc is not None and doc.factors[1].n == 144

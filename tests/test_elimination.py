@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from irrtop.algebra import Algebra, Ideal, ideal_generated, is_ideal, product_space, quotient_algebra
-from irrtop.embeddings import ProductFamily, _best_vector, _candidate_vectors, ann_of_vector
+from irrtop.embeddings import CANDIDATE_CAP, ProductFamily, _best_vector, _candidate_vectors, ann_of_vector
 from irrtop import modules
 from irrtop.linalg import PRIME_BOUND, Subspace, as_vector, is_prime, kernel, rref
 from irrtop.meataxe import jacobson_radical
@@ -146,6 +146,12 @@ def product_space_oracle(a: Algebra, u: Subspace, v: Subspace) -> Subspace:
     return Subspace.from_rows(
         np.array(rows, dtype=np.int64) if rows else np.zeros((0, a.dim), dtype=np.int64), a.p, ambient=a.dim
     )
+
+
+def product_space_einsum_oracle(a: Algebra, u: Subspace, v: Subspace) -> Subspace:
+    """The replaced int64 einsum over the basis pairs."""
+    rows = np.einsum("ri,sj,ijk->rsk", u.basis, v.basis, a.mul) % a.p
+    return Subspace.from_rows(rows.reshape(-1, a.dim), a.p, ambient=a.dim)
 
 
 # --- helpers ----------------------------------------------------------------
@@ -320,7 +326,7 @@ def test_product_space_matches_the_pairwise_loop(a):
         for v in subs:
             got = product_space(a, u, v)
             assert_rref(got)
-            assert got == product_space_oracle(a, u, v)
+            assert got == product_space_oracle(a, u, v) == product_space_einsum_oracle(a, u, v)
 
 
 @pytest.mark.parametrize("a", ALGEBRAS, ids=ALGEBRA_IDS)
@@ -449,3 +455,64 @@ def test_best_vector_search_matches_the_staged_and_chain_loops(a):
             assert (measured.dim, y.tolist(), meet) == (want_dim, want_y.tolist(), want_meet)
             assert measured is meet
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class RecordingRng:
+    """A generator that keeps every vector _candidate_vectors draws from it."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def integers(self, *args, **kwargs):
+        self.draws.append(self.rng.integers(*args, **kwargs))
+        return self.draws[-1]
+
+
+# (seed, candidates pulled up to the early stop, zero draws skipped) on the
+# regular module of M3 over GF(2) with the whole algebra running. Chunks pull
+# 1, 2, 4, 8, 16, 32 candidates, so 15 is the last slot of the fourth chunk
+# and 16 and 32 are first slots.
+CHUNK_EDGE_SEEDS = [(23, 15, 0), (81, 16, 0), (597, 32, 0), (801, 15, 1), (1702, 16, 1)]
+
+
+@pytest.mark.parametrize("seed, pulled, zeros", CHUNK_EDGE_SEEDS)
+def test_best_vector_stops_at_chunk_edges_as_the_loops_do(seed, pulled, zeros):
+    a = matrix_algebra(3, 2)
+    f = regular_module(a)
+    assert f.p**f.n > CANDIDATE_CAP  # the sampled path, which draws
+    running = Subspace.full(a.dim, a.p)
+    mat = f.act(running.basis[0])
+    for slab in (None, Subspace.from_rows(np.eye(a.dim, dtype=np.int64)[:4], a.p)):
+        want_rng = RecordingRng(seed)
+        if slab is None:
+            want_dim, want_y, want_meet = chain_search_oracle(f, mat, running, want_rng)
+        else:
+            want_dim, want_y, want_meet = staged_search_oracle(f, mat, running, slab, want_rng)
+        got_rng = np.random.default_rng(seed)
+        measured, y, meet = _best_vector(f, mat, running, got_rng, slab)
+        assert (measured.dim, y.tolist(), meet) == (want_dim, want_y.tolist(), want_meet)
+        assert got_rng.bit_generator.state == want_rng.rng.bit_generator.state
+        if slab is None:
+            # The stop ends the scan: the unit vectors, then the nonzero draws.
+            assert want_dim == 0
+            assert f.n + sum(v.any() for v in want_rng.draws) == pulled
+            assert sum(not v.any() for v in want_rng.draws) == zeros
+
+
+def test_best_vector_on_an_empty_measured_meet_stops_at_the_first_moved_candidate():
+    """running & slab = 0: every moved candidate measures 0, so the first
+    one wins and nothing is drawn."""
+    a = matrix_algebra(3, 2)
+    f = regular_module(a)
+    eye = np.eye(a.dim, dtype=np.int64)
+    running = Subspace.from_rows(eye[-1:], a.p)
+    slab = Subspace.from_rows(eye[:1], a.p)
+    mat = f.act(running.basis[0])
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    before = got_rng.bit_generator.state
+    measured, y, meet = _best_vector(f, mat, running, got_rng, slab)
+    want_dim, want_y, want_meet = staged_search_oracle(f, mat, running, slab, want_rng)
+    assert (measured.dim, y.tolist(), meet) == (0, want_y.tolist(), want_meet)
+    first_moved = next(v for v in _candidate_vectors(f.n, f.p, None) if ((mat @ v) % f.p).any())
+    assert y.tolist() == first_moved.tolist()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state == before

@@ -8,12 +8,12 @@ import itertools
 import numpy as np
 import pytest
 
-from irrtop import embeddings
+from irrtop import embeddings, modules
 from irrtop.algebra import Algebra, Ideal
 from irrtop.embeddings import (
     EXHAUSTIVE_CAP,
+    EmbeddingWitness,
     ProductFamily,
-    _witness,
     ann_of_vector,
     chain_bound,
     chain_product_embedding,
@@ -290,6 +290,17 @@ def test_witness_invariants_everywhere():
 # --- witness search against the per-candidate scan ---------------------------
 
 
+def spin_witness(fam, components, target):
+    """The witness with its orbit dimension from a spin of x in the direct
+    sum of all factors: the oracle for the rank-nullity dimension."""
+    p = fam.algebra.p
+    comps = tuple(np.array(v, dtype=np.int64).reshape(-1) % p for v in components)
+    big = direct_sum(fam.algebra, list(fam.factors))
+    x = np.concatenate(comps) if comps else np.zeros(0, dtype=np.int64)
+    orbit = spin(big, [x]) if big.n else Subspace.zero(0, p)
+    return EmbeddingWitness(fam, comps, ann_of_vector(fam, comps), target, orbit.dim)
+
+
 def search_oracle(fam, target, seed=0, budget=5000):
     """The scan find_embedding replaced: every candidate builds the direct
     sum and spins, exhaustive up to the cap and sampled above it. Returns
@@ -299,13 +310,13 @@ def search_oracle(fam, target, seed=0, budget=5000):
         tried = 0
         for comps in itertools.product(*[list(all_vectors(f.n, a.p)) for f in fam.factors]):
             tried += 1
-            w = _witness(fam, comps, target)
+            w = spin_witness(fam, comps, target)
             if w.valid:
                 return "found", w, tried
         return "none", None, tried
     rng = np.random.default_rng(seed)
     for tried in range(1, budget + 1):
-        w = _witness(fam, [rng.integers(0, a.p, size=f.n) for f in fam.factors], target)
+        w = spin_witness(fam, [rng.integers(0, a.p, size=f.n) for f in fam.factors], target)
         if w.valid:
             return "found", w, tried
     return "unknown", None, budget
@@ -436,23 +447,46 @@ def test_equal_factors_share_one_checked_annihilator(monkeypatch):
         assert len(calls) == 3 * distinct + 1, calls
 
 
-def test_search_spins_only_the_returned_witness(monkeypatch):
-    calls = []
+def test_constructions_never_spin_or_build_sums(monkeypatch):
+    """Witness orbit dimensions come from rank-nullity: no construction
+    spins a vector or builds the direct sum of its factors."""
 
-    def counted(name, fn):
+    def refuse(name):
         def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+            raise AssertionError(f"{name} called")
 
         return wrapper
 
-    monkeypatch.setattr(embeddings, "spin", counted("spin", spin))
-    monkeypatch.setattr(embeddings, "direct_sum", counted("direct_sum", direct_sum))
-    for names, fam in ut2_families(ut2_setup(), 3):
-        calls.clear()
-        out = find_embedding(fam, zero_ideal(fam.algebra), 0)
-        want = ["direct_sum", "spin"] if out.status == "found" else []
-        assert calls == want, names
+    setup = ut2_setup()
+    a, s1, s2, reg = setup
+    rad = jacobson_radical(a, 0)
+    assert not hasattr(embeddings, "direct_sum")
+    monkeypatch.setattr(modules, "direct_sum", refuse("direct_sum"))
+    monkeypatch.setattr(modules, "spin_matrices", refuse("spin_matrices"))
+    monkeypatch.setattr(embeddings, "spin", refuse("spin"))
+    found = set()
+    for _, fam in ut2_families(setup, 3):
+        found.add(find_embedding(fam, zero_ideal(a), 0).status)
+        found.add(chain_product_embedding(fam, 0)[1].outcome)
+        found.add(staged_product_embedding(fam, seed=0)[1].outcome)
+    assert found == {"found", "none", "witness", "failure", "stall"}
+    # A nonzero target passes to the quotient algebra first.
+    assert staged_product_embedding(ProductFamily(a, (s1, s2, s1, s2)), rad, seed=0)[0].valid
+
+
+def test_witness_orbit_dimension_matches_the_spin_oracle():
+    """Rank-nullity and the spin in the direct sum agree on the witnesses of
+    the three constructions."""
+    a, s1, s2, reg = ut2_setup()
+    fam = ProductFamily(a, (s1, s2, reg, reg))
+    witnesses = [
+        find_embedding(fam, zero_ideal(a), 0).witness,
+        staged_product_embedding(fam, seed=0)[0],
+        chain_product_embedding(fam, 0)[0],
+    ]
+    for w in witnesses:
+        want = spin_witness(w.family, w.components, w.target)
+        assert (w.orbit_dim, w.ann, w.valid) == (want.orbit_dim, want.ann, want.valid)
 
 
 def test_orbit_dimension_is_codimension_of_the_annihilator():

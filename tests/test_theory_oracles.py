@@ -19,7 +19,7 @@ from dataclasses import fields
 
 import pytest
 
-from irrtop import meataxe
+from irrtop import embeddings, meataxe
 from irrtop.algebra import Ideal
 from irrtop.embeddings import ProductFamily, deletion_stability
 from irrtop.linalg import Subspace
@@ -305,16 +305,22 @@ def test_deletion_stability_matches_per_subfamily_fold():
 
 
 def test_deletion_stability_meets_each_distinct_kept_set_once(monkeypatch):
+    """One kernel of stacked check matrices per distinct kept set, and no
+    pairwise intersection."""
     a = upper_triangular(2, 2)
     reg = regular_module(a)
     calls = []
-    intersect = Subspace.intersect
+    meet_all = embeddings._meet_all
 
-    def counted(self, other):
-        calls.append(1)
-        return intersect(self, other)
+    def counted(subspaces, d, p):
+        calls.append(len(subspaces))
+        return meet_all(subspaces, d, p)
 
-    monkeypatch.setattr(Subspace, "intersect", counted)
+    def refused(self, other):
+        raise AssertionError("Subspace.intersect called")
+
+    monkeypatch.setattr(embeddings, "_meet_all", counted)
+    monkeypatch.setattr(Subspace, "intersect", refused)
     rep = deletion_stability(ProductFamily(a, (reg,) * 17), Ideal(a, Subspace.zero(a.dim, a.p), "two-sided"), 2)
     assert rep.ok and rep.checked == 1 + 17 + 136
-    assert len(calls) == 1
+    assert calls == [1]

@@ -12,7 +12,7 @@ import pytest
 from irrtop import algebra
 from irrtop.algebra import ALGEBRA_DIM_CAP, Algebra, product_algebra, validate_algebra
 from irrtop.cli import run
-from irrtop.docs import parse_algebra
+from irrtop.docs import parse_algebra, parse_family
 from irrtop.linalg import PRIME_BOUND, is_prime, rref
 from irrtop.presets import (
     commutative_split,
@@ -176,7 +176,22 @@ def test_the_cap_admits_the_largest_presets():
 def test_a_refused_dim_line_is_one_positioned_diagnostic(dim, message):
     doc, diags = parse_algebra(f"p: 2\ndim: {dim}\none: 1\n")
     assert doc is None
-    assert [(d.line, d.col, d.message) for d in diags] == [(2, 5, message)]
+    assert [(d.line, d.col, d.message) for d in diags] == [(2, 6, message)]
+
+
+@pytest.mark.parametrize("gap", ["", " ", "   ", "\t"])
+def test_diagnostics_point_at_the_first_character_of_the_value(gap):
+    """With or without blanks after the colon; a preset-expression error is
+    offset from the first character of the expression."""
+    diags = parse_algebra(f"p: 2\ndim:{gap}200\none: 1\n")[1]
+    assert [(d.line, d.col) for d in diags] == [(2, 5 + len(gap))]
+    # The offending ',' is character 18 of the expression, and 20 below.
+    diags = parse_algebra(f"preset:{gap}matrix_algebra(2,, 2)\n")[1]
+    assert (diags[0].line, diags[0].col) == (1, 8 + len(gap) + 17)
+    diags = parse_family(f"algebra:{gap}preset  upper_triangular(2,, 2)\nfactor: regular\n")[1]
+    assert (diags[0].line, diags[0].col) == (1, 9 + len(gap) + len("preset  ") + 19)
+    diags = parse_family(f"algebra: preset upper_triangular(2, 2)\nfactor:{gap}explicit 100000000\n")[1]
+    assert (diags[0].line, diags[0].col) == (2, 8 + len(gap))
 
 
 def test_the_dim_line_admits_the_cap():
@@ -190,7 +205,7 @@ def test_the_dim_line_admits_the_cap():
         ("preset: matrix_algebra(60, 2)\n", 1, "error: algebra dimension 3600 exceeds the cap 144\n"),
         # Each part fits, their sum does not.
         ("preset: product(matrix_algebra(10, 2), matrix_algebra(7, 2))\n", 1, "error: algebra dimension 149 exceeds the cap 144\n"),
-        ("p: 2\ndim: 200\none: 1\n", 2, "error: algebra parse failed: 2:5: algebra dimension 200 exceeds the cap 144\n"),
+        ("p: 2\ndim: 200\none: 1\n", 2, "error: algebra parse failed: 2:6: algebra dimension 200 exceeds the cap 144\n"),
     ],
 )
 def test_cli_refuses_dimensions_above_the_cap(tmp_path, text, code, message):
