@@ -243,10 +243,30 @@ class Ideal:
 
 def is_ideal(a: Algebra, s: Subspace, sided: str = "two-sided") -> bool:
     """Whether s is closed under multiplication by basis elements on the
-    left (and on the right when two-sided)."""
-    if s.reduce(np.einsum("ijk,tj->itk", a.mul, s.basis) % a.p).any():
+    left (and on the right when two-sided).
+
+    The structure constants are met by whichever of the basis rows of s and
+    its check matrix C (kernel exactly s, codim s rows) is smaller. When
+    dim s < codim s, the products e_j x and x e_j for the basis rows x, a
+    (d, dim s, d) tensor each, are reduced against s. Otherwise
+    T[j, l, c] = sum_t mul[j, l, t] C[c, t] is C applied to e_j e_l, of size
+    d x d x codim, and closure is C(e_j x) = sum_l T[j, l, :] x[l] = 0 on
+    the left and C(x e_l) = sum_j x[j] T[j, l, :] = 0 on the right, at
+    codim * d^2 * (d + 2 dim s) multiply-adds. These products run in
+    float64, exact as each sum of d products stays below d * p^2 < 2^48."""
+    d, p = a.dim, a.p
+    if not 0 < s.dim < d:
+        return True
+    if s.dim < d - s.dim:
+        if s.reduce(np.einsum("ijk,tj->itk", a.mul, s.basis) % p).any():
+            return False
+        return sided != "two-sided" or not s.reduce(np.einsum("tj,jik->itk", s.basis, a.mul) % p).any()
+    c = s.check_matrix().astype(np.float64)
+    t = ((a.mul.reshape(d * d, d).astype(np.float64) @ c.T) % p).reshape(d, d, len(c))
+    x = s.basis.astype(np.float64)
+    if ((x @ t) % p).any():  # (d, dim, codim): C(e_j x)
         return False
-    return sided != "two-sided" or not s.reduce(np.einsum("tj,jik->itk", s.basis, a.mul) % a.p).any()
+    return sided != "two-sided" or not ((x @ t.reshape(d, d * len(c))) % p).any()  # C(x e_l)
 
 
 def product_space(a: Algebra, u: Subspace, v: Subspace) -> Subspace:

@@ -232,10 +232,14 @@ def _cmd_radical(args) -> Doc:
     result.add("algebra", a.name or "explicit")
     result.add("radical_dim", rad.dim)
     _basis_lines(result, "radical_basis", rad.subspace)
+    # J^(k+1) lies in the ideal J^k, and equals it only if J is not nilpotent.
     power = rad.subspace
     k = 1
-    while power.dim and k <= a.dim + 1:
-        power = product_space(a, power, rad.subspace)
+    while power.dim:
+        nxt = product_space(a, power, rad.subspace)
+        if nxt.dim >= power.dim:
+            raise AssertionError(f"the radical is not nilpotent: J^{k + 1} has dimension {nxt.dim}, J^{k} {power.dim}")
+        power = nxt
         k += 1
     result.add("nilpotency_index", k)
     result.add("semisimple", "true" if rad.is_zero else "false")

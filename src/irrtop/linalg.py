@@ -70,38 +70,77 @@ def as_vector(v, p: int) -> np.ndarray:
     return a % p
 
 
+SMALL_RREF = 2048  # below this many cells Python scalars beat numpy's per-call cost
+
+
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form of m over GF(p).
 
     Returns (r, rank, pivot_columns); r has the same shape as m and is the
     unique RREF of its row space padded with zero rows.
+
+    One sweep per column c: the first row at or below the next pivot row
+    with a nonzero entry in c is the pivot, and one outer-product update
+    clears c in every other row that has it. The pivot row is zero left of
+    c (earlier pivot columns are cleared, earlier free columns are zero
+    below the pivot rows), so only columns from c on are updated. Matrices
+    below SMALL_RREF cells take the same steps on Python lists.
     """
-    r = np.array(m, dtype=np.int64) % p
+    r = np.array(m, dtype=np.int64)
+    r %= p
     if r.ndim != 2:
         raise ValueError("rref expects a 2-d matrix")
+    if r.size < SMALL_RREF:
+        rows = r.tolist()
+        pivots = _rref_lists(rows, p)
+        return np.array(rows, dtype=np.int64).reshape(r.shape), len(pivots), pivots
     nrows, ncols = r.shape
     pivots: list[int] = []
     pr = 0
     for c in range(ncols):
         if pr == nrows:
             break
-        k = -1
-        for i in range(pr, nrows):
-            if r[i, c]:
-                k = i
-                break
-        if k < 0:
+        found = np.flatnonzero(r[pr:, c])
+        if not found.size:
             continue
+        k = pr + int(found[0])
         if k != pr:
             r[[pr, k]] = r[[k, pr]]
-        inv = pow(int(r[pr, c]), p - 2, p)
-        r[pr] = (r[pr] * inv) % p
-        for i in range(nrows):
-            if i != pr and r[i, c]:
-                r[i] = (r[i] - r[i, c] * r[pr]) % p
+        row = r[pr, c:] * pow(int(r[pr, c]), p - 2, p) % p
+        # The update takes the pivot row to zero too; it is written after.
+        rows = np.flatnonzero(r[:, c])
+        block = r[rows, c:]
+        block -= block[:, :1] * row
+        block %= p
+        r[rows, c:] = block
+        r[pr, c:] = row
         pivots.append(c)
         pr += 1
     return r, pr, pivots
+
+
+def _rref_lists(r: list[list[int]], p: int) -> list[int]:
+    """``rref`` of a matrix as a list of rows, in place; returns the pivot
+    columns."""
+    pivots: list[int] = []
+    for c in range(len(r[0]) if r else 0):
+        pr = len(pivots)
+        if pr == len(r):
+            break
+        for k in range(pr, len(r)):
+            if r[k][c]:
+                break
+        else:
+            continue
+        r[pr], r[k] = r[k], r[pr]
+        inv = pow(r[pr][c], p - 2, p)
+        row = r[pr] = [x * inv % p for x in r[pr]]
+        for i, other in enumerate(r):
+            f = other[c]
+            if f and i != pr:
+                r[i] = [(x - f * y) % p for x, y in zip(other, row)]
+        pivots.append(c)
+    return pivots
 
 
 def ranks(stack: np.ndarray, p: int) -> np.ndarray:

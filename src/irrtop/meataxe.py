@@ -4,9 +4,14 @@ modules over GF(p), plus the Schur-lemma isomorphism test and the radical.
 Simples are grouped by annihilator: ann(S) is a maximal ideal and A/ann(S)
 has one simple module, so simples are isomorphic iff their annihilators agree.
 The grouping kernel of each class is its annihilator, self-checked once
-(``simple_classes``). Meets of class annihilators, the radical among them,
-are one kernel of the stacked check matrices (``annihilator_meet``), checked
-against the Chinese remainder identity.
+(``simple_classes``). Meets of class annihilators are one kernel of the
+stacked check matrices (``annihilator_meet``), checked against the Chinese
+remainder identity.
+
+The radical (``jacobson_radical``) needs no MeatAxe and no seed: it is the
+end of the p-power trace chain of Ronyai and of Cohen, Ivanyos and Wales, a
+kernel of the trace form and then at most floor(log_p d) kernels of p-power
+trace functions, computed on integer lifts modulo p^(i+1).
 
 ``split`` samples up to RETRY_BUDGET random elements theta of the acting
 algebra's image and stops at the first certificate:
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Ideal
+from .algebra import Algebra, Ideal, is_ideal
 from .gfpoly import charpoly, factor, is_irreducible, poly_eval_matrix
 from .linalg import Subspace, kernel, projective_vectors, rref
 from .modules import ModuleRep, annihilator, annihilator_subspace, regular_module, spin, spin_matrices, sub_quotient
@@ -71,6 +76,7 @@ RETRY_BUDGET = 64  # sampled elements looking for a certificate
 HOLT_REES_BUDGET = 64  # elements the Holt-Rees test may draw after that
 BRUTE_CAP = 4096
 KERNEL_LINE_CAP = 512
+TRACE_CHUNK = 1 << 20  # matrix entries per stack of the radical chain's powers
 CRT_FAILURE = "annihilator meet breaks the Chinese remainder identity: classes are not distinct simples"
 
 
@@ -298,10 +304,83 @@ def annihilator_meet(a: Algebra, anns: list[Subspace]) -> Subspace:
 
 
 def jacobson_radical(a: Algebra, seed: int = 0) -> Ideal:
-    """Meet of the annihilators of the simple classes among the regular
-    module's composition factors (which exhaust the simple modules of an
-    Artinian algebra)."""
-    return Ideal(a, annihilator_meet(a, [ann.subspace for _, ann in simple_classes(a, seed)]), "two-sided")
+    """The Jacobson radical J by the p-power trace chain (Ronyai 1990;
+    Cohen, Ivanyos & Wales 1997). It is deterministic: ``seed`` is unused.
+
+    With l = floor(log_p d), I_(-1) = A and, for i = 0 ... l,
+    I_i = {x in I_(i-1) : g_i(x e_j) = 0 for every basis element e_j},
+    where g_i(x) = (Tr(L^(p^i)) mod p^(i+1)) / p^i for the [0, p) lift L of
+    the left multiplication by x. Then I_l = J. J is checked to be a
+    two-sided ideal; the ``radical`` command checks that it is nilpotent."""
+    rad = _trace_chain(a)
+    if not is_ideal(a, rad, "two-sided"):
+        raise AssertionError("the trace chain's radical is not a two-sided ideal")
+    return Ideal(a, rad, "two-sided")
+
+
+def _trace_chain(a: Algebra) -> Subspace:
+    """I_l of ``jacobson_radical``. g_0 is the trace, so I_0 is the left
+    kernel of the trace form T[j, k] = Tr(L_(e_j e_k)). For i >= 1, g_i is
+    linear on I_(i-1) and each c e_j lies there, with its coordinates in the
+    RREF basis c_m at the pivot columns; so g_i is evaluated on the c_m
+    alone and I_i is one kernel in those coordinates. Every float64 product
+    is exact: from level 1 on p <= d, entries stay below
+    q = p^(i+1) <= p * d <= 144^2, and every sum (at most d^2 products, in
+    the trace of a product) stays below 144^6 < 2^43; at level 0, for any p,
+    the sums stay below d * p^2 < 2^48."""
+    d, p = a.dim, a.p
+    lam = a.mul.astype(np.float64)
+    tau = _mod(np.einsum("tss->t", lam), p)  # Tr(L_(e_t))
+    level = kernel(_mod(lam @ tau, p).T, p)
+    step = max(1, TRACE_CHUNK // max(1, d * d))
+    i = 1
+    while p**i <= d and level.dim:
+        c = level.basis.astype(np.float64)
+        # c_m lam, read as (d, d), is the transposed left multiplication by
+        # c_m; the stacks of powers hold at most TRACE_CHUNK entries.
+        traces = np.concatenate([
+            _power_traces(_mod(chunk @ lam.reshape(d, d * d), p).reshape(-1, d, d), p, i)
+            for chunk in np.split(c, range(step, len(c), step))
+        ])
+        if (traces % p**i).any():
+            raise AssertionError(f"a trace on level {i - 1} of the radical chain is not divisible by {p}^{i}")
+        g = np.zeros(d)  # g_i(y) = y . g for y in I_(i-1)
+        g[list(level.pivots)] = traces // p**i
+        coords = kernel(_mod(c @ _mod(lam @ g, p), p).T, p)  # [m, j]: g_i(c_m e_j)
+        pivots = tuple(level.pivots[m] for m in coords.pivots)
+        level = Subspace(p, d, coords.basis @ level.basis % p, pivots)
+        i += 1
+    return level
+
+
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q for a float64 array of integers in [0, 2^52): where x is not
+    a multiple of q, x / q rounds to a float below the next integer, so the
+    floor is exact. This is several times faster than np.remainder."""
+    t = np.floor(x / q)
+    t *= q
+    return np.subtract(x, t, out=t)
+
+
+def _power_traces(mats: np.ndarray, p: int, i: int) -> np.ndarray:
+    """Tr(M^(p^i)) mod p^(i+1) for each M of an (m, n, n) stack with entries
+    in [0, p), i >= 1: i p-th powers by square and multiply, the last one
+    only as a trace, Tr(Y^p) = sum(Y^(p-1) * Y^T)."""
+    q = p ** (i + 1)
+
+    def power(y, e):
+        out = None
+        while True:
+            if e & 1:
+                out = y if out is None else _mod(out @ y, q)
+            e >>= 1
+            if not e:
+                return out
+            y = _mod(y @ y, q)
+
+    for _ in range(i - 1):
+        mats = power(mats, p)
+    return _mod(np.einsum("mab,mba->m", power(mats, p - 1), mats), q).astype(np.int64)
 
 
 def is_semiprimitive(a: Algebra, ideal: Ideal, seed: int = 0) -> bool:

@@ -120,32 +120,12 @@ def annihilator_subspace(m: ModuleRep) -> Subspace:
 
 def annihilates_as_ideal(m: ModuleRep, sub: Subspace) -> bool:
     """Whether every element of sub acts as zero on m and sub is a two-sided
-    ideal.
-
-    With B the basis rows of sub, the first test is H B^T = 0. Closure is
-    ``is_ideal``, with the structure constants met by whichever of B and the
-    check matrix C of sub (kernel exactly sub, codim sub rows) is smaller.
-    When codim <= dim, C goes first: T[j, l, c] = sum_t mul[j, l, t] C[c, t]
-    is C applied to e_j e_l for the algebra basis e, of size d x d x codim.
-    Left closure is C(e_j b) = sum_l T[j, l, :] b[l] = 0 and right closure
-    C(b e_l) = sum_j b[j] T[j, l, :] = 0, for every basis row b of sub; as
-    the kernel of C is exactly sub, that is ``is_ideal`` without its
-    (d, dim sub, d) products, at codim * d^2 * (d + 2 dim sub) multiply-adds.
-    When dim < codim, those products are the smaller tensor and ``is_ideal``
-    itself is the cheaper test."""
+    ideal: with B the basis rows of sub, B contracted with the action
+    vanishes, and ``is_ideal``."""
     a, p, d = m.algebra, m.p, m.algebra.dim
-    b = sub.basis
-    if ((b @ m.action.reshape(d, m.n * m.n)) % p).any():
+    if ((sub.basis @ m.action.reshape(d, m.n * m.n)) % p).any():
         return False
-    if not 0 < sub.dim < d:
-        return True
-    if sub.dim < d - sub.dim:
-        return is_ideal(a, sub, "two-sided")
-    c = sub.check_matrix()
-    t = ((a.mul.reshape(d * d, d) @ c.T) % p).reshape(d, d, len(c))
-    if ((b @ t) % p).any():  # (d, dim, codim): C(e_j b)
-        return False
-    return not ((b @ t.reshape(d, d * len(c))) % p).any()  # C(b e_l)
+    return is_ideal(a, sub, "two-sided")
 
 
 def annihilator(a: Algebra, m: ModuleRep, sub: Subspace | None = None) -> Ideal:

@@ -1,14 +1,14 @@
 """Annihilators as check matrices.
 
-Every meet of class annihilators is a kernel: ``ann_meet`` and
-``jacobson_radical`` take one kernel of the stacked check matrices. The
-Zassenhaus ``Subspace.intersect`` fold they replaced is
-the oracle here, on every gallery algebra and on the gallery shapes rebuilt
-at p in {2, 3, 5} and at the largest accepted prime, over every subset of
-the classes. The annihilator self-check contracts the check matrix with the
-structure constants; ``is_ideal`` is its oracle. The embeddings folds (the
-product annihilator and the deletion meets) are kernels of stacked check
-matrices too, over factors that need not be simple."""
+Every meet of class annihilators is a kernel: ``ann_meet`` takes one kernel
+of the stacked check matrices. The Zassenhaus ``Subspace.intersect`` fold it
+replaced is the oracle here, on every gallery algebra and on the gallery
+shapes rebuilt at p in {2, 3, 5} and at the largest accepted prime, over
+every subset of the classes. The annihilator self-check is ``is_ideal``,
+which contracts the check matrix with the structure constants when the
+ideal is the larger side; the element loop is its oracle. The embeddings
+folds (the product annihilator and the deletion meets) are kernels of
+stacked check matrices too, over factors that need not be simple."""
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from irrtop.meataxe import composition_factors, group_factors, jacobson_radical
 from irrtop.modules import annihilates_as_ideal, annihilator_subspace, regular_module, spin, sub_quotient, zero_module
 from irrtop.presets import gallery
 from irrtop.topology import IrrPoint, IrrSpace, enumerate_irr, vanishing_set
+from test_elimination import is_ideal_oracle
 
 LARGEST_PRIME = max(q for q in range(PRIME_BOUND - 64, PRIME_BOUND) if is_prime(q))
 SHAPES = (
@@ -159,8 +160,10 @@ def test_annihilator_self_check_matches_is_ideal(which, kind, rows, module):
     # module -1 is the zero module, whose check matrix has no rows: there
     # the self-check is the closure test alone.
     m = zero_module(a) if module < 0 else SIMPLES[which][module % len(SIMPLES[which])]
-    want = annihilator_subspace(m).contains_space(sub) and is_ideal(a, sub, "two-sided")
+    want = annihilator_subspace(m).contains_space(sub) and is_ideal_oracle(a, sub, "two-sided")
     assert annihilates_as_ideal(m, sub) == want
+    for sided in ("left", "two-sided"):
+        assert is_ideal(a, sub, sided) == is_ideal_oracle(a, sub, sided)
 
 
 def test_each_class_kernel_is_computed_once(monkeypatch):
@@ -171,11 +174,12 @@ def test_each_class_kernel_is_computed_once(monkeypatch):
         monkeypatch.setattr(modules, "kernel", lambda m, p, k=kernel: kernels.append(1) or k(m, p))
         check = annihilates_as_ideal
         monkeypatch.setattr(modules, "annihilates_as_ideal", lambda m, s, c=check: checks.append(1) or c(m, s))
-        for run_once in (lambda: enumerate_irr(a, 0), lambda: jacobson_radical(a, 0)):
-            kernels.clear()
-            checks.clear()
-            run_once()
-            assert (len(kernels), len(checks)) == (len(factors), classes), a.name
+        enumerate_irr(a, 0)
+        assert (len(kernels), len(checks)) == (len(factors), classes), a.name
+        # The radical is the trace chain: no class, so no class annihilator.
+        checks.clear()
+        jacobson_radical(a, 0)
+        assert not checks, a.name
         monkeypatch.undo()
 
 
@@ -208,10 +212,20 @@ def test_cli_exits_3_on_a_duplicated_point(tmp_path, monkeypatch, argv):
     assert out == f"internal error: {meataxe.CRT_FAILURE}\n"
 
 
-def test_cli_radical_exits_3_on_a_duplicated_class(tmp_path, monkeypatch):
-    classes = meataxe.simple_classes
-    monkeypatch.setattr(meataxe, "simple_classes", lambda a, seed: classes(a, seed)[:1] * 2)
+def _radical_with_chain(tmp_path, monkeypatch, chain):
+    monkeypatch.setattr(meataxe, "_trace_chain", chain)
     alg = tmp_path / "ut2.alg"
     alg.write_text("preset: upper_triangular(2, 2)\n")
-    code, out = run(["radical", "--in", str(alg), "--format", "structured"])
-    assert (code, out) == (3, f"internal error: {meataxe.CRT_FAILURE}\n")
+    return run(["radical", "--in", str(alg), "--format", "structured"])
+
+
+def test_cli_radical_exits_3_on_a_non_nilpotent_radical(tmp_path, monkeypatch):
+    # The whole algebra is a two-sided ideal, and J^2 = J.
+    code, out = _radical_with_chain(tmp_path, monkeypatch, lambda a: Subspace.full(a.dim, a.p))
+    assert (code, out) == (3, "internal error: the radical is not nilpotent: J^2 has dimension 3, J^1 3\n")
+
+
+def test_cli_radical_exits_3_on_a_radical_that_is_not_an_ideal(tmp_path, monkeypatch):
+    # span{e11} of upper_triangular(2, 2) is not a two-sided ideal: e11 e12 = e12.
+    code, out = _radical_with_chain(tmp_path, monkeypatch, lambda a: Subspace.from_rows([[1, 0, 0]], a.p))
+    assert (code, out) == (3, "internal error: the trace chain's radical is not a two-sided ideal\n")

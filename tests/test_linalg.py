@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from irrtop import linalg
 from irrtop.linalg import (
     PRIME_BOUND,
     Subspace,
@@ -249,3 +250,39 @@ def test_rank_is_transpose_invariant_and_complements_the_kernel(mp):
     rank = int(ranks(m[None], p)[0])
     assert rank == int(ranks(m.T[None], p)[0])
     assert rank + kernel(m, p).dim == m.shape[1]
+
+
+# --- rref: the list path and the column sweep -------------------------------
+
+
+@pytest.fixture(params=["lists", "sweep"])
+def rref_path(request, monkeypatch):
+    """Every matrix through one of rref's two paths."""
+    monkeypatch.setattr(linalg, "SMALL_RREF", 10**9 if request.param == "lists" else 0)
+    return request.param
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, LARGEST_PRIME])
+def test_both_rref_paths_match_python_integers(rref_path, p):
+    rng = np.random.default_rng(p)
+    low = p - 5 if p > 5 else 0
+    for rows, cols, rank in [(0, 3, 0), (3, 0, 0), (1, 1, 1), (5, 8, 3), (8, 5, 5), (12, 12, 7), (300, 20, 9), (40, 60, 40)]:
+        m = rng.integers(low, p, size=(rows, rank)) @ rng.integers(low, p, size=(rank, cols)) % p
+        # Zero rows and repeated rows, as in a stack of products.
+        m = np.vstack([m, np.zeros((rows // 2, cols), dtype=np.int64), m[: rows // 3]])
+        r, got_rank, pivots = rref(m, p)
+        want, want_rank = python_rref(m.tolist(), p)
+        assert r.dtype == np.int64 and r.shape == m.shape
+        assert (r.tolist(), got_rank) == (want, want_rank) and got_rank == len(pivots)
+        assert [next(c for c, v in enumerate(row) if v) for row in want[:want_rank]] == pivots
+
+
+@given(matrix_and_prime())
+def test_the_rref_paths_agree(mp):
+    m, p = mp
+    want = python_rref(m.tolist(), p)
+    for small in (0, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "SMALL_RREF", small)
+            r, rank, _ = rref(m, p)
+        assert (r.tolist(), rank) == want
