@@ -22,6 +22,7 @@ __all__ = [
     "validate_algebra",
     "is_ideal",
     "product_space",
+    "radical_powers",
     "ideal_generated",
     "quotient_algebra",
     "product_algebra",
@@ -271,14 +272,52 @@ def is_ideal(a: Algebra, s: Subspace, sided: str = "two-sided") -> bool:
 
 def product_space(a: Algebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of every product x*y with x in u and y in v, then one
-    elimination. Two float64 products, each reduced mod p: U.lam as a
-    (dim u, d * d) matrix, then its contraction with V. Each sum has d terms
-    below (p - 1)**2, and the Algebra bound d**2 * (p - 1)**3 < 2**63 with
-    p < 2**20 keeps d * (p - 1)**2 below 2**42, so both are exact."""
+    elimination. Two float64 products, each reduced mod p: the smaller of U
+    and V contracted with lam first, as a (dim, d * d) matrix, then the
+    other side with that. Each sum has d terms below (p - 1)**2, and the
+    Algebra bound d**2 * (p - 1)**3 < 2**63 with p < 2**20 keeps
+    d * (p - 1)**2 below 2**42, so both are exact."""
     d, p = a.dim, a.p
-    ul = (u.basis.astype(np.float64) @ a.mul.reshape(d, d * d).astype(np.float64)) % p
-    rows = (v.basis.astype(np.float64) @ ul.reshape(u.dim, d, d)) % p  # [r, s, k]
+    # The float64 copy of lam is freed before the second product.
+    if u.dim <= v.dim:
+        ul = (u.basis.astype(np.float64) @ a.mul.reshape(d, d * d).astype(np.float64)) % p  # [r, (s, k)]: (u_r b_s)_k
+        rows = (v.basis.astype(np.float64) @ ul.reshape(u.dim, d, d)) % p
+    else:
+        vl = np.matmul(v.basis.astype(np.float64), a.mul.astype(np.float64)) % p  # [s, r, k]: (b_s v_r)_k
+        rows = (u.basis.astype(np.float64) @ vl.reshape(d, v.dim * d)) % p
     return Subspace.from_rows(rows.astype(np.int64).reshape(-1, d), p, ambient=d)
+
+
+def radical_powers(a: Algebra, rad: Subspace) -> list[Subspace]:
+    """The nonzero powers J, J^2, ..., J^(m-1) of a nilpotent ideal J, so m
+    is its nilpotency index.
+
+    With W the span of the basis rows of J that complement J^2 in J,
+    J^(k+1) = J^k W for every k as soon as J W = J^2: then
+    J^(k+1) = J^(k-1) J^2 = J^(k-1) J W = J^k W. That identity is checked
+    (it holds for every nilpotent J, by Nakayama, since J = W + J^2), so each
+    step multiplies by dim W elements only; a power that does not shrink
+    means J is not nilpotent and raises AssertionError."""
+    if not rad.dim:
+        return []
+    powers, nxt, w = [rad], product_space(a, rad, rad), None
+    while nxt.dim:
+        if nxt.dim >= powers[-1].dim:
+            raise AssertionError(
+                f"the radical is not nilpotent: J^{len(powers) + 1} has dimension {nxt.dim}, "
+                f"J^{len(powers)} {powers[-1].dim}"
+            )
+        if w is None:
+            # J^2 in the coordinates of J's RREF basis (its entries at J's
+            # pivots); the basis rows of J at the free coordinates span W.
+            coords = Subspace.from_rows(nxt.basis[:, list(rad.pivots)], a.p, ambient=rad.dim)
+            rows = list(coords.complement_columns())
+            w = Subspace(a.p, a.dim, rad.basis[rows], tuple(rad.pivots[i] for i in rows))
+            if product_space(a, rad, w) != nxt:
+                raise AssertionError("the radical is not nilpotent: J W is not J^2")
+        powers.append(nxt)
+        nxt = product_space(a, nxt, w)
+    return powers
 
 
 def ideal_generated(a: Algebra, gens, sided: str = "two-sided") -> Ideal:

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import docs as docsmod
-from .algebra import Algebra, Ideal, ideal_generated, product_space, quotient_algebra, validate_algebra
+from .algebra import Algebra, Ideal, ideal_generated, product_space, quotient_algebra, radical_powers, validate_algebra
 from .docs import Doc, render_report
 from .embeddings import (
     ProductFamily,
@@ -35,8 +35,9 @@ from .meataxe import (
     brute_force_split,
     composition_factors,
     is_isomorphic_simple,
-    is_semiprimitive,
     jacobson_radical,
+    semisimple_classes,
+    simple_classes,
     split,
 )
 from .modules import annihilator, direct_sum, regular_module
@@ -232,16 +233,7 @@ def _cmd_radical(args) -> Doc:
     result.add("algebra", a.name or "explicit")
     result.add("radical_dim", rad.dim)
     _basis_lines(result, "radical_basis", rad.subspace)
-    # J^(k+1) lies in the ideal J^k, and equals it only if J is not nilpotent.
-    power = rad.subspace
-    k = 1
-    while power.dim:
-        nxt = product_space(a, power, rad.subspace)
-        if nxt.dim >= power.dim:
-            raise AssertionError(f"the radical is not nilpotent: J^{k + 1} has dimension {nxt.dim}, J^{k} {power.dim}")
-        power = nxt
-        k += 1
-    result.add("nilpotency_index", k)
+    result.add("nilpotency_index", len(radical_powers(a, rad.subspace)) + 1)
     result.add("semisimple", "true" if rad.is_zero else "false")
     return result
 
@@ -619,7 +611,10 @@ def _selftest_checks(seed: int):
         if not rad.is_zero and not rad.is_whole:
             q, _ = quotient_algebra(a, rad)
             ok_rad &= jacobson_radical(q, seed).is_zero
-        ok_rad &= is_semiprimitive(a, jacobson_radical(a, seed), seed)
+        # The classes come from A/J; the MeatAxe classes, whose meet is the
+        # radical, cross-check both.
+        blocks = sorted((dim, ann.subspace.key()) for dim, ann in semisimple_classes(a))
+        ok_rad &= blocks == sorted((rep.n, ann.subspace.key()) for rep, ann in simple_classes(a, seed))
     check("radical-nilpotent-and-semiprimitive-quotient", ok_rad)
 
     ok_ann = True

@@ -292,6 +292,20 @@ class StagedTrace:
     note: str = ""
 
 
+class _SeededDraws:
+    """``np.random.default_rng(seed)``, made at its first use: scans over
+    small factors draw nothing, and loading numpy.random costs a fresh
+    process about 6 MB."""
+
+    def __init__(self, seed: int):
+        self._seed, self._rng = seed, None
+
+    def __getattr__(self, name):
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return getattr(self._rng, name)
+
+
 def _candidate_vectors(n: int, p: int, rng: np.random.Generator):
     if n == 0:
         return
@@ -337,18 +351,20 @@ def _best_vector(f: ModuleRep, mat: np.ndarray, running: Subspace, rng, slab: Su
     dim W - rank(W.Y). Candidates are pulled in chunks of 1, 2, 4, ... (up
     to RANK_CHUNK_ENTRIES entries of the stacked images b_i.y), and each
     chunk is scored by one ``ranks`` call; only the winner's meets are
-    built. The generator state is saved after every pulled candidate, and
-    an early stop restores the state after the stopping one, so the draws
-    are those of a scan that pulls one candidate at a time."""
+    built. When the candidates are sampled, the generator state is saved
+    after every pulled candidate, and an early stop restores the state after
+    the stopping one, so the draws are those of a scan that pulls one
+    candidate at a time."""
     w = running if slab is None else _meet_all((running, slab), running.ambient, running.p)
     largest = max(1, RANK_CHUNK_ENTRIES // max(1, f.algebra.dim * f.n))
     cands = _candidate_vectors(f.n, f.p, rng)
+    sampled = f.p**f.n > CANDIDATE_CAP
     best, size, stop = None, 1, False
     while not stop:
         ys, states = [], []
         for y in itertools.islice(cands, size):
             ys.append(y)
-            states.append(rng.bit_generator.state)
+            states.append(rng.bit_generator.state if sampled else None)
         if not ys:
             break
         ys = np.array(ys, dtype=np.int64)
@@ -358,7 +374,8 @@ def _best_vector(f: ModuleRep, mat: np.ndarray, running: Subspace, rng, slab: Su
             if best is None or dim < best[0]:
                 best = (int(dim), ys[k])
             if dim == 0:
-                rng.bit_generator.state = states[k]
+                if sampled:
+                    rng.bit_generator.state = states[k]
                 stop = True
                 break
         size = min(2 * size, largest)
@@ -388,7 +405,7 @@ def staged_product_embedding(
     the trace records it.
     """
     a = fam.algebra
-    rng = np.random.default_rng(seed)
+    rng = _SeededDraws(seed)
     if target is None:
         target = Ideal(a, Subspace.zero(a.dim, a.p), "two-sided")
     if target.is_zero:
@@ -482,7 +499,7 @@ def chain_product_embedding(fam: ProductFamily, seed: int = 0) -> tuple[Embeddin
     ideal reached zero, so the accumulated components have zero annihilator.
     """
     a = fam.algebra
-    rng = np.random.default_rng(seed)
+    rng = _SeededDraws(seed)
     kill = Subspace.full(a.dim, a.p)
     steps: list[ChainStep] = []
     comps = [np.zeros(f.n, dtype=np.int64) for f in fam.factors]

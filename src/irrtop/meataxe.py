@@ -1,17 +1,24 @@
 """Randomized irreducibility testing and composition factors for matrix
-modules over GF(p), plus the Schur-lemma isomorphism test and the radical.
-
-Simples are grouped by annihilator: ann(S) is a maximal ideal and A/ann(S)
-has one simple module, so simples are isomorphic iff their annihilators agree.
-The grouping kernel of each class is its annihilator, self-checked once
-(``simple_classes``). Meets of class annihilators are one kernel of the
-stacked check matrices (``annihilator_meet``), checked against the Chinese
-remainder identity.
+modules over GF(p), the Schur-lemma isomorphism test, the radical and the
+simple classes.
 
 The radical (``jacobson_radical``) needs no MeatAxe and no seed: it is the
 end of the p-power trace chain of Ronyai and of Cohen, Ivanyos and Wales, a
 kernel of the trace form and then at most floor(log_p d) kernels of p-power
 trace functions, computed on integer lifts modulo p^(i+1).
+
+The simple classes need no MeatAxe either (``semisimple_classes``): each is a
+block of the semisimple quotient A/J, cut out by a primitive central
+idempotent e, and its annihilator is one kernel, {x : e x in J}. No module is
+built; ``class_representative`` builds one on demand, as the quotient A/ann
+when the block is a field and otherwise as its first composition factor.
+
+Simples are grouped by annihilator: ann(S) is a maximal ideal and A/ann(S)
+has one simple module, so simples are isomorphic iff their annihilators agree.
+The grouping of the regular module's composition factors (``group_factors``,
+``simple_classes``) is kept as the test oracle of the classes. Meets of class
+annihilators are one kernel of the stacked check matrices
+(``annihilator_meet``), checked against the Chinese remainder identity.
 
 ``split`` samples up to RETRY_BUDGET random elements theta of the acting
 algebra's image and stops at the first certificate:
@@ -54,7 +61,7 @@ import numpy as np
 
 from .algebra import Algebra, Ideal, is_ideal
 from .gfpoly import charpoly, factor, is_irreducible, poly_eval_matrix
-from .linalg import Subspace, kernel, projective_vectors, rref
+from .linalg import Subspace, kernel, projective_vectors, rref, solve
 from .modules import ModuleRep, annihilator, annihilator_subspace, regular_module, spin, spin_matrices, sub_quotient
 
 __all__ = [
@@ -69,6 +76,9 @@ __all__ = [
     "annihilator_meet",
     "CRT_FAILURE",
     "jacobson_radical",
+    "IDEMPOTENT_FAILURE",
+    "semisimple_classes",
+    "class_representative",
     "is_semiprimitive",
 ]
 
@@ -101,14 +111,23 @@ def _line_count(k: int, p: int) -> int:
 
 
 def _random_theta(m: ModuleRep, rng: np.random.Generator) -> np.ndarray:
-    """Uniform combination of the action matrices plus up to 3 degree-2 words."""
-    p, d = m.p, m.algebra.dim
-    theta = m.act(rng.integers(0, p, size=d))
+    """Uniform combination of the action matrices plus up to 3 degree-2 words.
+
+    Each combination is one float64 product with the action read as a
+    (d, n^2) matrix (``ModuleRep.flat_action``), with the draws of
+    ``ModuleRep.act`` in the same order. Its sums of d terms below
+    (p - 1)^2, and those of the n-term products x @ y, are exact, as the
+    Algebra bound keeps d (p - 1)^2 below 2^42."""
+    p, d, n = m.p, m.algebra.dim, m.n
+
+    def draw() -> np.ndarray:
+        return _mod(rng.integers(0, p, size=d) @ m.flat_action, p).reshape(n, n)
+
+    theta = draw()
     for _ in range(int(rng.integers(0, 4))):
-        x = m.act(rng.integers(0, p, size=d))
-        y = m.act(rng.integers(0, p, size=d))
-        theta = (theta + x @ y) % p
-    return theta
+        x = draw()
+        theta = _mod(theta + x @ draw(), p)
+    return theta.astype(np.int64)
 
 
 def _perp(s: Subspace) -> Subspace:
@@ -383,9 +402,180 @@ def _power_traces(mats: np.ndarray, p: int, i: int) -> np.ndarray:
     return _mod(np.einsum("mab,mba->m", power(mats, p - 1), mats), q).astype(np.int64)
 
 
+IDEMPOTENT_FAILURE = "the block idempotents of A/J are not a complete set of primitive central idempotents"
+
+
+def semisimple_classes(a: Algebra) -> list[tuple[int, Ideal]]:
+    """The simple classes as the blocks of Q = A/J, J the radical: the
+    dimension and the annihilator of each class's simple module, in the
+    order the idempotents are found. No module is built, and the result
+    does not depend on any seed (Eberly & Giesbrecht 2000, with the
+    idempotents split off the Frobenius-fixed part of the centre).
+
+    Q is a product of blocks M_n(GF(p^e)), one per class. Its centre Z is
+    one kernel of commutators (``_centre``), and the part of Z fixed by
+    z -> z^p is B0 = GF(p)^k, one coordinate per block, so the class count k
+    is dim B0; its primitive idempotents e_1 ... e_k are those of Z
+    (``_primitive_idempotents``). Checked: each e_i is central and
+    idempotent, e_i e_j = 0 for i != j, they sum to 1, and there are k
+    (``IDEMPOTENT_FAILURE``). A block has dim e_i Z = e and dim e_i Q = n^2 e,
+    n an integer (checked), so its simple module has dimension n e, and its
+    annihilator {x : e_i x in J} is one kernel of codimension n^2 e. It is a
+    two-sided ideal with no further check: {y in Q : e_i y = 0} is one when
+    e_i is central (e_i (c y) = c e_i y and e_i (y c) = (e_i y) c), and
+    A -> Q is an algebra map as J is an ideal. The meet of all the
+    annihilators is checked to be J, with the Chinese remainder identity
+    (``annihilator_meet``)."""
+    rad = jacobson_radical(a)
+    d, p = a.dim, a.p
+    comp = list(rad.subspace.complement_columns())
+    q = len(comp)
+    proj = rad.subspace.reduce(np.eye(d, dtype=np.int64))[:, comp].T  # (q, d): A -> Q
+    qmul = rad.subspace.reduce(a.mul[np.ix_(comp, comp)])[:, :, comp]
+    lam = qmul.astype(np.float64)
+    one = (proj @ a.one) % p
+    centre = _centre(qmul, p)
+    idem, count = _primitive_idempotents(lam, centre, one, p)
+    e = idem.astype(np.float64)
+    k = len(e)
+    left = _mod(e @ lam.reshape(q, q * q), p).reshape(k, q, q)  # [i, j]: e_i b_j
+    right = _mod(e @ lam.transpose(1, 0, 2).reshape(q, q * q), p).reshape(k, q, q)  # [i, j]: b_j e_i
+    products = _mod(np.matmul(e, left), p)  # [i, l]: e_i e_l
+    want = np.zeros_like(products)
+    want[np.arange(k), np.arange(k)] = e
+    if k != count or (left != right).any() or (products != want).any() or ((idem.sum(axis=0) - one) % p).any():
+        raise AssertionError(IDEMPOTENT_FAILURE)
+    # e_i times the centre's basis spans e_i Z.
+    centre_parts = _mod(np.matmul(centre.basis.astype(np.float64), left), p).astype(np.int64)
+    out = []
+    for i in range(k):
+        rows = _mod(left[i].T @ proj, p)  # x -> e_i proj(x), on A's coordinates
+        ann = kernel(rows[rows.any(axis=1)].astype(np.int64), p)
+        part = centre_parts[i]
+        codim, f = d - ann.dim, rref(part[part.any(axis=1)], p)[1]
+        n = int(round((codim // f) ** 0.5))
+        if n < 1 or n * n * f != codim:
+            raise AssertionError(f"a block of A/J has dimension {codim}, not n^2 times its centre's {f}")
+        out.append((n * f, Ideal(a, ann, "two-sided")))
+    if annihilator_meet(a, [ann.subspace for _, ann in out]) != rad.subspace:
+        raise AssertionError("the class annihilators do not meet in the radical")
+    return out
+
+
+def _centre(qmul: np.ndarray, p: int) -> Subspace:
+    """The centre of the algebra with structure constants qmul: z is central
+    iff z b_j - b_j z = 0 for every basis element b_j, one kernel."""
+    q = len(qmul)
+    comm = ((qmul - qmul.transpose(1, 0, 2)) % p).reshape(q, q * q).T  # [(j, k), i]: (b_i b_j - b_j b_i)_k
+    return kernel(comm[comm.any(axis=1)], p)
+
+
+def _primitive_idempotents(lam: np.ndarray, centre: Subspace, one: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """The primitive idempotents of the centre Z of a semisimple algebra
+    with float64 structure constants lam, as rows in its coordinates, and
+    k = dim B0, B0 = {z in Z : z^p = z}.
+
+    Z is a product of fields, so z -> z^p is linear on Z and fixes one copy
+    of GF(p) in each: B0 = GF(p)^k holds the primitive idempotents. They are
+    refined from {1} along a basis of B0: a basis element b cuts an
+    idempotent f into the idempotents of the level sets of b f on f's
+    blocks. At p = 2 every element of B0 is idempotent, so the cut is
+    {b f, f - b f}; at odd p the levels are the roots of the minimal
+    polynomial of b f in f Z, which splits into distinct linear factors
+    (``gfpoly.factor``), and the cut at a root r is the Lagrange polynomial
+    of r evaluated at b f. The refinement stops at k idempotents. Products
+    in Z go through its structure constants zmul, in its coordinates (the
+    entries at the centre's pivots); all float64 sums have at most d terms
+    below (p - 1)^2, so they are exact."""
+    q, z = len(lam), centre.dim
+    basis = centre.basis.astype(np.float64)
+    pivots = list(centre.pivots)
+    zmul = _mod(np.matmul(basis, _mod(basis @ lam.reshape(q, q * q), p).reshape(z, q, q)), p)[:, :, pivots]
+    flat = zmul.reshape(z, z * z)
+
+    def times(x: np.ndarray) -> np.ndarray:  # multiplication by x on Z, on coordinate rows
+        return _mod(x @ flat, p).reshape(z, z)
+
+    def products(x: np.ndarray, y: np.ndarray) -> np.ndarray:  # row m: x_m y_m
+        return _mod(np.einsum("ma,mab->mb", x, _mod(y @ flat, p).reshape(len(y), z, z)), p)
+
+    # z_m^p for every basis element z_m (the unit rows) by square and multiply.
+    frob, y, e = None, np.eye(z), p
+    while True:
+        if e & 1:
+            frob = y if frob is None else products(frob, y)
+        e >>= 1
+        if not e:
+            break
+        y = products(y, y)
+    fixed = kernel((frob.astype(np.int64) - np.eye(z, dtype=np.int64)).T % p, p)
+    count = fixed.dim
+    idem = one[pivots].astype(np.float64)[None, :]
+    for b in fixed.basis.astype(np.float64):
+        if len(idem) == count:
+            break
+        cuts = _mod(idem @ times(b), p)  # row i: b f_i
+        if p == 2:
+            parts = np.vstack([cuts, _mod(idem - cuts + p, p)])
+        else:
+            # b f = c f, with c read at f's first nonzero entry, leaves f whole.
+            rows, lead = np.arange(len(idem)), (idem != 0).argmax(axis=1)
+            c = cuts[rows, lead] * np.array([pow(int(x), p - 2, p) for x in idem[rows, lead]]) % p
+            whole = ~_mod(cuts - c[:, None] * idem + p * p, p).any(axis=1)
+            parts = np.vstack([
+                f[None, :] if keep else _level_idempotents(f, times(g), p)
+                for f, g, keep in zip(idem, cuts, whole)
+            ])
+        idem = parts[parts.any(axis=1)]
+    return _mod(idem @ basis, p).astype(np.int64), count
+
+
+def _level_idempotents(f: np.ndarray, step: np.ndarray, p: int) -> np.ndarray:
+    """The idempotents of the level sets of g on the blocks of an idempotent
+    f, for g in f B0 given by its multiplication matrix step: with
+    g^0 = f, the powers of g up to the first that depends on the ones before
+    give the minimal polynomial, which must have distinct roots in GF(p),
+    and the idempotent of the level r is the Lagrange polynomial of r
+    evaluated at g."""
+    powers = [f]
+    while True:
+        nxt = _mod(powers[-1] @ step, p)
+        sol = solve(np.array(powers).T.astype(np.int64), nxt.astype(np.int64), p)
+        if sol is not None:
+            break
+        powers.append(nxt)
+    minpoly = np.append((-sol) % p, 1)
+    rng = np.random.default_rng(0)  # drives root finding only; the roots do not depend on it
+    roots = [int(-g[0]) % p for g, mult in factor(minpoly, p, rng) if len(g) == 2 and mult == 1]
+    if len(roots) != len(powers):
+        raise AssertionError(IDEMPOTENT_FAILURE)
+    out = []
+    for r in roots:
+        lagrange = np.ones(1, dtype=np.int64)
+        for s in roots:
+            if s != r:
+                inv = pow(r - s, p - 2, p)
+                lagrange = np.convolve(lagrange, [-s * inv % p, inv]) % p
+        out.append(_mod(lagrange.astype(np.float64) @ np.array(powers), p))
+    return np.array(out)
+
+
+def class_representative(ann: Ideal, dim: int, seed: int = 0) -> ModuleRep:
+    """A simple module of dimension dim with annihilator ann, a maximal
+    ideal of the algebra: A/ann is a block M_n(GF(p^e)), which is simple as
+    a module when n = 1 and otherwise the sum of n copies of the simple
+    module. So the representative is A/ann itself when its dimension is dim,
+    and otherwise the first composition factor of A/ann, seeded."""
+    _, quot = sub_quotient(regular_module(ann.algebra), ann.subspace)
+    rep = quot if quot.n == dim else composition_factors(quot, seed)[0]
+    if rep.n != dim:
+        raise AssertionError(f"a class of dimension {dim} got a representative of dimension {rep.n}")
+    return rep
+
+
 def is_semiprimitive(a: Algebra, ideal: Ideal, seed: int = 0) -> bool:
     """True iff the ideal is an intersection of simple-module annihilators:
     the meet of the class annihilators containing it; the empty meet is the
-    whole algebra."""
-    anns = [ann.subspace for _, ann in simple_classes(a, seed)]
+    whole algebra. ``seed`` is unused."""
+    anns = [ann.subspace for _, ann in semisimple_classes(a)]
     return annihilator_meet(a, [s for s in anns if s.contains_space(ideal.subspace)]) == ideal.subspace

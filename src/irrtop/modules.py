@@ -7,6 +7,7 @@ the structure constants instead of forming products with its basis."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,12 @@ class ModuleRep:
     @property
     def p(self) -> int:
         return self.algebra.p
+
+    @functools.cached_property
+    def flat_action(self) -> np.ndarray:
+        """The action as a float64 (d, n^2) matrix, made once: x times it is
+        the matrix of x, exact while d (p - 1)^2 < 2^53."""
+        return self.action.reshape(self.algebra.dim, self.n * self.n).astype(np.float64)
 
     def act(self, x) -> np.ndarray:
         """Matrix of the algebra element with coordinates x."""

@@ -3,6 +3,13 @@ finite-dimensional algebra, its Zariski topology of annihilator vanishing
 sets, and the refined closure operator driven by composition factors of
 finite products.
 
+The points come from the blocks of the semisimple quotient A/J
+(``semisimple_classes``): one per primitive central idempotent, with its
+dimension and its annihilator, and no module. They are ordered by dimension
+and then by the annihilator's RREF basis, an order of the algebra alone, so
+no class listing depends on the seed. A point's representative module is
+built only when a caller asks for it (``IrrPoint.rep``).
+
 Theory decides the topologies: class annihilators are distinct maximal
 ideals, so every point is Zariski-closed, and by Jordan-Hoelder a sum of
 simples has only its summands as factors. All three topologies are discrete;
@@ -18,12 +25,13 @@ meet over all points certifies it for every point set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, Ideal
 from .linalg import Subspace
-from .meataxe import annihilator_meet, simple_classes
+from .meataxe import annihilator_meet, class_representative, semisimple_classes
 from .modules import ModuleRep, annihilator_subspace
 
 __all__ = [
@@ -44,13 +52,18 @@ CLOSURE_POINT_CAP = 8
 
 @dataclass(frozen=True)
 class IrrPoint:
-    id: int
-    rep: ModuleRep
-    ann: Ideal
+    """One simple class: its dimension and annihilator. The representative
+    module is built on first use (``class_representative``, seeded when the
+    class's block is not a field) and kept."""
 
-    @property
-    def dim(self) -> int:
-        return self.rep.n
+    id: int
+    dim: int
+    ann: Ideal
+    seed: int = field(default=0, compare=False)
+
+    @functools.cached_property
+    def rep(self) -> ModuleRep:
+        return class_representative(self.ann, self.dim, self.seed).relabel(f"simple#{self.id}")
 
 
 @dataclass(frozen=True)
@@ -84,12 +97,12 @@ class IrrSpace:
 
 
 def enumerate_irr(a: Algebra, seed: int = 0) -> IrrSpace:
-    """Isomorphism classes of simple modules: deduplicated composition
-    factors of the regular module, ordered by dimension then first found,
-    each with its annihilator (``simple_classes``)."""
-    classes = sorted(simple_classes(a, seed), key=lambda c: c[0].n)  # stable: first-found order per dim
-    points = tuple(IrrPoint(i, rep.relabel(f"simple#{i}"), ann) for i, (rep, ann) in enumerate(classes))
-    return IrrSpace(a, points)
+    """Isomorphism classes of simple modules, from the blocks of A/J
+    (``semisimple_classes``), ordered by dimension and then by the
+    annihilator's RREF basis: an order of the algebra alone, whatever the
+    seed. ``seed`` reaches only the representatives built later."""
+    classes = sorted(semisimple_classes(a), key=lambda c: (c[0], c[1].subspace.basis.tolist()))
+    return IrrSpace(a, tuple(IrrPoint(i, dim, ann, seed) for i, (dim, ann) in enumerate(classes)))
 
 
 @dataclass(frozen=True)

@@ -166,16 +166,20 @@ def test_annihilator_self_check_matches_is_ideal(which, kind, rows, module):
         assert is_ideal(a, sub, sided) == is_ideal_oracle(a, sub, sided)
 
 
-def test_each_class_kernel_is_computed_once(monkeypatch):
+def test_class_annihilators_need_no_module_and_no_ideal_check(monkeypatch):
+    """The classes come from A/J: no module is built, so no module kernel
+    and no ``annihilates_as_ideal`` runs, and the class annihilators are
+    ideals because their idempotents are checked to be central; the one
+    ``is_ideal`` check is the radical's."""
     for a in SMALL:
-        factors = composition_factors(regular_module(a), 0)
-        classes = len(group_factors(factors))
-        kernels, checks = [], []
+        classes = len(group_factors(composition_factors(regular_module(a), 0)))
+        kernels, checks, ideals = [], [], []
         monkeypatch.setattr(modules, "kernel", lambda m, p, k=kernel: kernels.append(1) or k(m, p))
         check = annihilates_as_ideal
         monkeypatch.setattr(modules, "annihilates_as_ideal", lambda m, s, c=check: checks.append(1) or c(m, s))
-        enumerate_irr(a, 0)
-        assert (len(kernels), len(checks)) == (len(factors), classes), a.name
+        monkeypatch.setattr(meataxe, "is_ideal", lambda a, s, sided, i=is_ideal: ideals.append(1) or i(a, s, sided))
+        assert len(enumerate_irr(a, 0)) == classes
+        assert (len(kernels), len(checks), len(ideals)) == (0, 0, 1), a.name
         # The radical is the trace chain: no class, so no class annihilator.
         checks.clear()
         jacobson_radical(a, 0)
@@ -189,7 +193,7 @@ def test_each_class_kernel_is_computed_once(monkeypatch):
 def _duplicated_space(a):
     """The first class twice: two points with one annihilator."""
     first = enumerate_irr(a, 0).points[0]
-    return IrrSpace(a, (first, IrrPoint(1, first.rep, first.ann)))
+    return IrrSpace(a, (first, IrrPoint(1, first.dim, first.ann)))
 
 
 def test_a_duplicated_point_breaks_the_chinese_remainder_identity():

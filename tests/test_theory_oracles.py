@@ -269,7 +269,7 @@ def _fabricated_space():
     a = upper_triangular(2, 2)
     reg = regular_module(a)
     first = enumerate_irr(a, 0).points[0]
-    return IrrSpace(a, (first, IrrPoint(1, reg.relabel("regular"), annihilator(a, reg))))
+    return IrrSpace(a, (first, IrrPoint(1, reg.n, annihilator(a, reg))))
 
 
 def test_chinese_remainder_self_check_rejects_a_non_simple_point():
