@@ -36,6 +36,7 @@ from .meataxe import (
     composition_factors,
     is_isomorphic_simple,
     jacobson_radical,
+    regular_length,
     semisimple_classes,
     simple_classes,
     split,
@@ -499,19 +500,18 @@ def _cmd_chain_bound(args) -> Doc:
     a = _load_algebra(args.infile)
     which = args.module
     if which == "regular":
-        m = regular_module(a)
-    else:
+        dim, length = a.dim, regular_length(a)  # from the Loewy layers
+    else:  # a simple module: length 1, and no representative is built
         space = enumerate_irr(a, args.seed)
         k = int(which[len("simple#"):])
         if k >= len(space.points):
             raise DomainError(f"simple#{k} out of range")
-        m = space.points[k].rep
-    bound = chain_bound(m, args.seed)
+        dim, length = space.points[k].dim, 1
     result = Doc()
     result.add("module", which)
-    result.add("module_dim", m.n)
-    result.add("length", bound - 2)
-    result.add("bound", bound)
+    result.add("module_dim", dim)
+    result.add("length", length)
+    result.add("bound", length + 2)
     return result
 
 
@@ -721,10 +721,12 @@ def _selftest_checks(seed: int):
     wg, _ = chain_product_embedding(guar_fam, seed=seed)
     check("sufficiency-guarantee-realized", suff.guaranteed and wg is not None and wg.valid)
 
+    # The bound from the Loewy layers, the MeatAxe series and the lattice.
     ok_bound = True
     for a in (ut2, small[3]):
         reg = regular_module(a)
-        ok_bound &= chain_bound(reg, seed) == longest_submodule_chain(reg) + 1
+        want = longest_submodule_chain(reg) + 1
+        ok_bound &= chain_bound(reg, seed) == want and regular_length(a) + 2 == want
     check("descent-bound-matches-lattice-oracle", ok_bound)
 
     sample = "preset: upper_triangular(2, 2)\n"

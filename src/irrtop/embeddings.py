@@ -19,8 +19,8 @@ import numpy as np
 
 from .algebra import Algebra, Ideal, quotient_algebra
 from .linalg import Subspace, all_vectors, as_vector, kernel, projective_vectors, ranks
-from .meataxe import composition_factors
-from .modules import ModuleRep, annihilator, regular_module, spin
+from .meataxe import composition_factors, regular_length, semisimple_blocks
+from .modules import ModuleRep, annihilator, spin
 
 __all__ = [
     "ProductFamily",
@@ -528,7 +528,10 @@ def chain_product_embedding(fam: ProductFamily, seed: int = 0) -> tuple[Embeddin
 
 def chain_bound(m: ModuleRep, seed: int = 0) -> int:
     """Composition length plus two: one more than the number of terms in the
-    longest strictly descending chain of submodules."""
+    longest strictly descending chain of submodules, for any module, from a
+    seeded MeatAxe composition series. The regular module's length needs no
+    series (``meataxe.regular_length``, from the Loewy layers), and a simple
+    module's is 1; this is their test oracle."""
     return len(composition_factors(m, seed)) + 2
 
 
@@ -585,14 +588,14 @@ def sufficiency_check(a: Algebra, fam: ProductFamily, seed: int = 0) -> Sufficie
     the regular module; at or above the bound the chain construction cannot
     run out of useful factors.
 
-    The regular module is split once. Its factor count gives the bound. The
-    algebra is simple (zero radical, one simple class) iff any one of its
-    simple modules is faithful: a finite-dimensional algebra with a faithful
-    simple module is primitive, hence simple Artinian."""
+    No module is split: the bound is the regular module's length from its
+    Loewy layers plus two, and the algebra is simple iff its radical is zero
+    and A/J has one block, both read off the same blocks of A/J
+    (``semisimple_blocks``). ``seed`` is unused."""
     faithful = sum(1 for s in _factor_annihilators(a, fam.factors) if s.is_zero)
-    factors = composition_factors(regular_module(a), seed)
-    bound = len(factors) + 2  # chain_bound of the regular module
-    simple = bool(factors) and annihilator(a, factors[0]).is_zero
+    blocks = semisimple_blocks(a)
+    bound = regular_length(a, blocks) + 2
+    simple = blocks.radical.is_zero and len(blocks.classes) == 1
     note = ""
     if simple:
         note = "simple algebra: every nonzero module is faithful"

@@ -1,5 +1,6 @@
 """Polynomials over GF(p): characteristic polynomials, gcd, powers modulo a
-polynomial, the Ben-Or irreducibility test and factorization.
+polynomial, the Ben-Or irreducibility test, factorization, and the roots of a
+polynomial that splits into distinct linear factors (found without draws).
 
 A polynomial is a 1-d int64 array of coefficients in [0, p), lowest degree
 first, with no trailing zero; the zero polynomial is the empty array. Every
@@ -29,6 +30,7 @@ __all__ = [
     "distinct_degree_factorization",
     "equal_degree_split",
     "factor",
+    "distinct_roots",
 ]
 
 _T = np.array([0, 1], dtype=np.int64)
@@ -331,3 +333,38 @@ def factor(f: np.ndarray, p: int, rng: np.random.Generator) -> list[tuple[np.nda
         for gd, d in distinct_degree_factorization(g, p):
             out.extend((q, k) for q in equal_degree_split(gd, d, p, rng))
     return sorted(out, key=lambda qk: (len(qk[0]), qk[0][::-1].tolist()))
+
+
+def distinct_roots(f: np.ndarray, p: int) -> list[int] | None:
+    """The roots of f in GF(p) when f splits into distinct linear factors,
+    else None; in the order of ``factor``'s linear factors t - r, ascending
+    in -r mod p. Nothing is drawn. f splits so iff it divides t**p - t. At
+    odd p the roots are parted by g = gcd(f, (t + a)**((p - 1) / 2) - 1) for
+    a = 0, 1, ...: g holds the roots r with r + a a nonzero square. Two roots
+    r != s fall apart at some a, as the quadratic character chi has
+    sum over a of chi((r + a)(s + a)) = -1."""
+    f = monic(f, p)
+    n = len(f) - 1
+    if n < 1:
+        return None if n < 0 else []
+    if n == 1:
+        return [int(-f[0]) % p]
+    ring = Modulus(f, p)
+    if _minus_t(ring.pow(ring.lift(_T), p), p).any():
+        return None
+    if p == 2:
+        return [0, 1]  # t**2 - t itself
+
+    def parts(g: np.ndarray) -> list[int]:
+        if len(g) == 2:
+            return [int(-g[0]) % p]
+        ring = Modulus(g, p)
+        for a in range(p):
+            w = ring.pow(ring.lift(np.array([a, 1])), (p - 1) // 2)
+            w[0] = (w[0] - 1) % p
+            h = poly_gcd(g, w, p)
+            if 1 < len(h) < len(g):
+                return parts(h) + parts(poly_divmod(g, h, p)[0])
+        raise AssertionError("a polynomial with distinct roots in GF(p) did not split")
+
+    return sorted(parts(f), key=lambda r: -r % p)

@@ -1,6 +1,6 @@
 """Randomized irreducibility testing and composition factors for matrix
-modules over GF(p), the Schur-lemma isomorphism test, the radical and the
-simple classes.
+modules over GF(p), the Schur-lemma isomorphism test, the radical, the
+simple classes and the composition length of the regular module.
 
 The radical (``jacobson_radical``) needs no MeatAxe and no seed: it is the
 end of the p-power trace chain of Ronyai and of Cohen, Ivanyos and Wales, a
@@ -12,6 +12,13 @@ block of the semisimple quotient A/J, cut out by a primitive central
 idempotent e, and its annihilator is one kernel, {x : e x in J}. No module is
 built; ``class_representative`` builds one on demand, as the quotient A/ann
 when the block is a field and otherwise as its first composition factor.
+``semisimple_blocks`` returns the radical, the classes and the block
+idempotents lifted to A as one record.
+
+The regular module's composition length needs no MeatAxe (``regular_length``):
+it is the sum over the Loewy layers J^k / J^(k+1) and the classes i of
+dim(e_i layer) / dim S_i, each layer being a module over A/J. The seeded
+series of any module (``composition_factors``) is its test oracle.
 
 Simples are grouped by annihilator: ann(S) is a maximal ideal and A/ann(S)
 has one simple module, so simples are isomorphic iff their annihilators agree.
@@ -55,13 +62,13 @@ Failures of any spin hand back an explicit proper submodule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Ideal, is_ideal
-from .gfpoly import charpoly, factor, is_irreducible, poly_eval_matrix
-from .linalg import Subspace, kernel, projective_vectors, rref, solve
+from .algebra import Algebra, Ideal, is_ideal, radical_powers
+from .gfpoly import charpoly, distinct_roots, factor, is_irreducible, poly_eval_matrix
+from .linalg import Subspace, kernel, projective_vectors, ranks, rref, solve
 from .modules import ModuleRep, annihilator, annihilator_subspace, regular_module, spin, spin_matrices, sub_quotient
 
 __all__ = [
@@ -77,7 +84,12 @@ __all__ = [
     "CRT_FAILURE",
     "jacobson_radical",
     "IDEMPOTENT_FAILURE",
+    "SemisimpleBlocks",
+    "semisimple_blocks",
     "semisimple_classes",
+    "PART_FAILURE",
+    "FILL_FAILURE",
+    "regular_length",
     "class_representative",
     "is_semiprimitive",
 ]
@@ -403,13 +415,33 @@ def _power_traces(mats: np.ndarray, p: int, i: int) -> np.ndarray:
 
 
 IDEMPOTENT_FAILURE = "the block idempotents of A/J are not a complete set of primitive central idempotents"
+PART_FAILURE = "a block's part of a Loewy layer is not a multiple of its class dimension"
+FILL_FAILURE = "the block parts of a Loewy layer do not fill it"
+
+
+@dataclass(frozen=True)
+class SemisimpleBlocks:
+    """The blocks of A/J as ``semisimple_blocks`` certifies them: the
+    radical J; one (dimension, annihilator) pair per simple class, in the
+    order the idempotents are found; and those primitive central idempotents
+    of A/J lifted to A, one row per class, with their coordinates at J's
+    complement columns and zeros at its pivots."""
+
+    radical: Ideal
+    classes: tuple[tuple[int, Ideal], ...]
+    lifts: np.ndarray = field(repr=False)
 
 
 def semisimple_classes(a: Algebra) -> list[tuple[int, Ideal]]:
-    """The simple classes as the blocks of Q = A/J, J the radical: the
-    dimension and the annihilator of each class's simple module, in the
-    order the idempotents are found. No module is built, and the result
-    does not depend on any seed (Eberly & Giesbrecht 2000, with the
+    """The dimension and the annihilator of each simple class's module, in
+    the order the idempotents are found (``semisimple_blocks``)."""
+    return list(semisimple_blocks(a).classes)
+
+
+def semisimple_blocks(a: Algebra) -> SemisimpleBlocks:
+    """The simple classes as the blocks of Q = A/J, J the radical, with the
+    radical and the lifted block idempotents. No module is built, and the
+    result does not depend on any seed (Eberly & Giesbrecht 2000, with the
     idempotents split off the Frobenius-fixed part of the centre).
 
     Q is a product of blocks M_n(GF(p^e)), one per class. Its centre Z is
@@ -459,7 +491,54 @@ def semisimple_classes(a: Algebra) -> list[tuple[int, Ideal]]:
         out.append((n * f, Ideal(a, ann, "two-sided")))
     if annihilator_meet(a, [ann.subspace for _, ann in out]) != rad.subspace:
         raise AssertionError("the class annihilators do not meet in the radical")
-    return out
+    # The unit vectors at the complement columns map to Q's basis.
+    lifts = np.zeros((k, d), dtype=np.int64)
+    lifts[:, comp] = idem
+    lifts.setflags(write=False)
+    return SemisimpleBlocks(rad, tuple(out), lifts)
+
+
+def regular_length(a: Algebra, blocks: SemisimpleBlocks | None = None) -> int:
+    """The composition length of the regular module, read off the Loewy
+    layers J^k / J^(k+1), k = 0 ... m - 1 (J^0 = A, J^m = 0, J^k from
+    ``radical_powers``). J kills every layer, so each is a module over
+    A/J: the direct sum of its parts eps_i layer over the block idempotents
+    eps_i, the part of class i being dim(eps_i layer) / dim S_i copies of
+    S_i. Length adds along the series (Auslander, Reiten & Smalo 1995, I.3),
+    so it is the sum of those quotients. No module is built and nothing is
+    drawn; ``blocks`` defaults to ``semisimple_blocks(a)``.
+
+    Any preimage of eps_i acts on a layer as eps_i does, so the lifts serve:
+    their left multiplications are one float64 product. The RREF rows of
+    J^k whose pivots are not pivots of J^(k+1) span a complement of
+    J^(k+1) in J^k (the pivots of a subspace are among those of any space
+    that holds it), and a residual modulo J^(k+1) of a member of J^k is
+    fixed by its entries at those rows' pivots. So each layer is one stacked
+    reduction modulo J^(k+1) of the images of those rows, read at their
+    pivots, and one ``ranks`` call for every part. Checked: each part is a
+    multiple of its class dimension (``PART_FAILURE``), and the parts of a
+    layer fill it (``FILL_FAILURE``)."""
+    if blocks is None:
+        blocks = semisimple_blocks(a)
+    d, p = a.dim, a.p
+    k = len(blocks.classes)
+    dims = np.array([dim for dim, _ in blocks.classes], dtype=np.int64)
+    # [i, j]: eps_i b_j; each sum has d terms below (p - 1)^2, exact.
+    left = _mod(blocks.lifts.astype(np.float64) @ a.mul.reshape(d, d * d).astype(np.float64), p).reshape(k, d, d)
+    series = [Subspace.full(d, p), *radical_powers(a, blocks.radical.subspace), Subspace.zero(d, p)]
+    length = 0
+    for upper, lower in zip(series, series[1:]):
+        below = set(lower.pivots)
+        rows = [m for m, c in enumerate(upper.pivots) if c not in below]
+        cols = [upper.pivots[m] for m in rows]
+        images = _mod(upper.basis[rows].astype(np.float64) @ left, p).astype(np.int64)  # [i, m]: eps_i r_m
+        parts = ranks(lower.reduce(images)[:, :, cols], p)
+        if (parts % dims).any():
+            raise AssertionError(PART_FAILURE)
+        if parts.sum() != len(rows):
+            raise AssertionError(FILL_FAILURE)
+        length += int((parts // dims).sum())
+    return length
 
 
 def _centre(qmul: np.ndarray, p: int) -> Subspace:
@@ -482,11 +561,11 @@ def _primitive_idempotents(lam: np.ndarray, centre: Subspace, one: np.ndarray, p
     blocks. At p = 2 every element of B0 is idempotent, so the cut is
     {b f, f - b f}; at odd p the levels are the roots of the minimal
     polynomial of b f in f Z, which splits into distinct linear factors
-    (``gfpoly.factor``), and the cut at a root r is the Lagrange polynomial
-    of r evaluated at b f. The refinement stops at k idempotents. Products
-    in Z go through its structure constants zmul, in its coordinates (the
-    entries at the centre's pivots); all float64 sums have at most d terms
-    below (p - 1)^2, so they are exact."""
+    (``gfpoly.distinct_roots``, which draws nothing), and the cut at a root
+    r is the Lagrange polynomial of r evaluated at b f. The refinement stops
+    at k idempotents. Products in Z go through its structure constants
+    zmul, in its coordinates (the entries at the centre's pivots); all
+    float64 sums have at most d terms below (p - 1)^2, so they are exact."""
     q, z = len(lam), centre.dim
     basis = centre.basis.astype(np.float64)
     pivots = list(centre.pivots)
@@ -544,10 +623,8 @@ def _level_idempotents(f: np.ndarray, step: np.ndarray, p: int) -> np.ndarray:
         if sol is not None:
             break
         powers.append(nxt)
-    minpoly = np.append((-sol) % p, 1)
-    rng = np.random.default_rng(0)  # drives root finding only; the roots do not depend on it
-    roots = [int(-g[0]) % p for g, mult in factor(minpoly, p, rng) if len(g) == 2 and mult == 1]
-    if len(roots) != len(powers):
+    roots = distinct_roots(np.append((-sol) % p, 1), p)
+    if roots is None:
         raise AssertionError(IDEMPOTENT_FAILURE)
     out = []
     for r in roots:

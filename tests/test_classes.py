@@ -65,24 +65,31 @@ def test_classes_match_the_meataxe_on_larger_fields_and_several_blocks(expr):
         assert got == oracle_pairs(a, seed), expr
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from([
+@st.composite
+def rebased_presets(draw):
+    """A small preset in a random dense basis, or its quotient by a random
+    proper ideal, with the seed of its basis."""
+    shape = draw(st.sampled_from([
         "group_algebra(C3, {p})",
         "product(matrix_algebra(2, {p}), upper_triangular(2, {p}))",
         "group_algebra(S3, {p})",
         "upper_triangular(3, {p})",
         "commutative_split(3, {p})",
-    ]),
-    st.sampled_from([2, 3, 5]),
-    st.integers(0, 2**16),
-    st.lists(st.lists(st.integers(0, 4), min_size=12, max_size=12), max_size=2),
-)
-def test_classes_match_the_meataxe_on_random_algebras(shape, p, seed, gens):
+    ]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    seed = draw(st.integers(0, 2**16))
+    gens = draw(st.lists(st.lists(st.integers(0, 4), min_size=12, max_size=12), max_size=2))
     a = rebase(_preset(shape.format(p=p)), seed)
     ideal = ideal_generated(a, [np.array(g[: a.dim]) % p for g in gens], "two-sided")
     if 0 < ideal.dim < a.dim:
         a, _ = quotient_algebra(a, ideal)
+    return a, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(rebased_presets())
+def test_classes_match_the_meataxe_on_random_algebras(drawn):
+    a, seed = drawn
     assert pairs(semisimple_classes(a)) == oracle_pairs(a, seed)
 
 
@@ -214,19 +221,35 @@ def test_a_matrix_block_representative_is_the_first_composition_factor():
         assert (pt.rep.action == composition_factors(quot, seed)[0].action).all()
 
 
-def test_class_only_commands_load_no_random_generator(tmp_path):
-    """At p = 2 nothing in the class listing is random (at odd p the roots
-    of minimal polynomials are found by a seeded factorization), and the
-    staged and chain constructions over small factors draw nothing: a fresh
-    process that runs them never imports numpy.random."""
+NO_DRAWS = {
+    2: "product(matrix_algebra(2, 2), upper_triangular(2, 2), group_algebra(C3, 2))",
+    # At odd p the class listing finds the roots of minimal polynomials.
+    3: "product(matrix_algebra(2, 3), upper_triangular(2, 3), group_algebra(C4, 3))",
+    1009: "product(matrix_algebra(2, 1009), upper_triangular(2, 1009), group_algebra(S3, 1009))",
+}
+
+
+@pytest.mark.parametrize("p", sorted(NO_DRAWS))
+def test_class_only_commands_load_no_random_generator(tmp_path, p):
+    """Nothing in the class listing, the radical or the chain bound is
+    random (the roots of minimal polynomials at odd p are found without
+    draws), and the staged and chain constructions over small factors (a
+    family at p = 2) draw nothing: a fresh process that runs them never
+    imports numpy.random."""
     alg = tmp_path / "a.alg"
-    alg.write_text("preset: product(matrix_algebra(2, 2), upper_triangular(2, 2), group_algebra(C3, 2))\n")
+    alg.write_text(f"preset: {NO_DRAWS[p]}\n")
     fam = tmp_path / "f.fam"
     fam.write_text("algebra: preset upper_triangular(2, 2)\nfactor: regular\nfactor: simple#0\nfactor: simple#1\n")
+    commands = [
+        [kind, "--in", str(alg)] for kind in ("irr", "zlattice", "radical", "chain-bound")
+    ] + [
+        ["chain-bound", "--in", str(alg), "--module", "simple#3"],
+        ["embed-staged", "--in", str(fam)],
+        ["embed-chain", "--in", str(fam)],
+    ]
     script = (
         "import sys\nfrom irrtop.cli import run\n"
-        f"for argv in ({['irr', '--in', str(alg)]!r}, {['zlattice', '--in', str(alg)]!r},"
-        f" {['embed-staged', '--in', str(fam)]!r}, {['embed-chain', '--in', str(fam)]!r}):\n"
+        f"for argv in {commands!r}:\n"
         "    assert run(argv)[0] == 0, argv\n"
         "assert 'numpy.random' not in sys.modules\n"
     )

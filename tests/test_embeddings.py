@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from irrtop import embeddings, modules
+from irrtop import embeddings, meataxe, modules
 from irrtop.algebra import Algebra, Ideal
 from irrtop.embeddings import (
     EXHAUSTIVE_CAP,
@@ -426,7 +426,8 @@ def test_search_matches_the_per_candidate_scan_across_chunk_boundaries(monkeypat
 def test_equal_factors_share_one_checked_annihilator(monkeypatch):
     """17 copies of one module cost one annihilator (with its ideal
     self-check) in the search, the stability check and the sufficiency
-    check."""
+    check; the sufficiency check reads 'simple' off the blocks of A/J, with
+    no annihilator of its own."""
     calls = []
 
     def counted(a, m):
@@ -442,9 +443,8 @@ def test_equal_factors_share_one_checked_annihilator(monkeypatch):
         calls.clear()
         find_embedding(fam, zero_ideal(a), 0)
         deletion_stability(fam, zero_ideal(a), 1)
-        # The sufficiency check also tests one simple module for faithfulness.
         sufficiency_check(a, fam, 0)
-        assert len(calls) == 3 * distinct + 1, calls
+        assert len(calls) == 3 * distinct, calls
 
 
 def test_constructions_never_spin_or_build_sums(monkeypatch):
@@ -503,9 +503,9 @@ def test_orbit_dimension_is_codimension_of_the_annihilator():
 
 
 def test_sufficiency_check_matches_three_separate_splits(monkeypatch):
-    """One split of the regular module gives what chain_bound,
-    jacobson_radical and group_factors computed from three: the bound, and
-    'simple' as a zero radical with one simple class."""
+    """With no split at all, the sufficiency check gives what chain_bound,
+    jacobson_radical and group_factors compute from three MeatAxe series:
+    the bound, and 'simple' as a zero radical with one simple class."""
     calls = []
 
     def counted(m, seed=0):
@@ -518,7 +518,8 @@ def test_sufficiency_check_matches_three_separate_splits(monkeypatch):
         want_bound = chain_bound(reg, 0)
         with monkeypatch.context() as mp:
             mp.setattr(embeddings, "composition_factors", counted)
+            mp.setattr(meataxe, "composition_factors", counted)
             calls.clear()
             rep = sufficiency_check(a, ProductFamily(a, (reg,)), 0)
-        assert calls == [a.dim], a.name
+        assert calls == [], a.name
         assert (rep.bound, rep.algebra_simple) == (want_bound, want_simple), a.name

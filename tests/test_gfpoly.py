@@ -14,6 +14,7 @@ from irrtop.gfpoly import (
     Modulus,
     charpoly,
     distinct_degree_factorization,
+    distinct_roots,
     equal_degree_split,
     factor,
     is_irreducible,
@@ -318,3 +319,42 @@ def test_powmod_matches_repeated_products_and_frobenius_linearity(fp, hs, e):
         want = (want + int(c) * ti) % p
         ti = ring.mul(ti, tp)
     assert ring.pow(h, p).tolist() == want.tolist()
+
+
+@st.composite
+def split_or_not(draw):
+    """A product of linear factors, times a random polynomial half the
+    time: squarefree split, with repeated roots, or with factors of higher
+    degree."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 53, 1009, LARGEST_PRIME]))
+    roots = draw(st.lists(st.integers(0, p - 1), max_size=7))
+    f = [draw(st.integers(1, p - 1))]
+    for r in roots:
+        f = mul_oracle(f, [-r % p, 1], p)
+    if draw(st.booleans()):
+        f = mul_oracle(f, draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4)) + [1], p)
+    return np.array(f, dtype=np.int64), p
+
+
+@given(split_or_not())
+def test_distinct_roots_are_the_linear_factors_in_their_order(fp):
+    """The roots of a polynomial with distinct roots in GF(p), found without
+    draws, are those of ``factor``'s linear factors, in the same order; any
+    other polynomial gives None."""
+    f, p = fp
+    fac = factor(f, p, np.random.default_rng(0))
+    roots = [int(-g[0]) % p for g, k in fac if len(g) == 2 and k == 1]
+    splits = len(roots) == len(trim(f)) - 1
+    assert distinct_roots(f, p) == (roots if splits else None)
+
+
+def test_distinct_roots_of_every_split_polynomial_at_small_primes():
+    for p in (3, 5, 7):
+        for k in range(1, p + 1):
+            for roots in itertools.combinations(range(p), k):
+                f = [1]
+                for r in roots:
+                    f = mul_oracle(f, [-r % p, 1], p)
+                assert distinct_roots(np.array(f), p) == sorted(roots, key=lambda r: -r % p)
+    assert distinct_roots(np.array([1, 0, 1]), 3) is None  # t^2 + 1 is irreducible at 3
+    assert distinct_roots(np.array([5]), 7) == [] and distinct_roots(np.array([0]), 7) is None
