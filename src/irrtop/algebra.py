@@ -94,15 +94,6 @@ class Algebra:
             return self.basis_names[i]
         return f"b{i}"
 
-    def element_str(self, v) -> str:
-        v = as_vector(v, self.p)
-        terms = [
-            (f"{int(c)}*" if c != 1 else "") + self.basis_name(i)
-            for i, c in enumerate(v)
-            if c
-        ]
-        return " + ".join(terms) if terms else "0"
-
 
 def validate_algebra(a: Algebra) -> list[str]:
     """Every violated associativity/identity constraint; empty iff valid.

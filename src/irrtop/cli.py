@@ -66,27 +66,6 @@ from .topology import (
     zariski_closed_family,
 )
 
-COMMANDS = (
-    "validate",
-    "irr",
-    "radical",
-    "vset",
-    "zlattice",
-    "refined-closure",
-    "point-closure",
-    "compare",
-    "verify-form",
-    "embed",
-    "embed-staged",
-    "embed-chain",
-    "stability",
-    "chain-bound",
-    "sufficiency",
-    "weyl-model",
-    "selftest",
-)
-
-
 class DomainError(Exception):
     pass
 
@@ -105,16 +84,23 @@ def _read_input(path: str) -> str:
         raise UsageError(f"cannot read {path}: {e}") from e
 
 
-def _load_algebra(path: str) -> Algebra:
-    text = _read_input(path)
-    adoc, diags = docsmod.parse_algebra(text)
-    if adoc is None:
-        raise UsageError("algebra parse failed: " + "; ".join(str(d) for d in diags))
-    a = docsmod.build_algebra(adoc)
+def _checked(a: Algebra) -> Algebra:
+    """a, once ``validate_algebra`` finds nothing wrong with it."""
     problems = validate_algebra(a)
     if problems:
         raise DomainError("invalid algebra: " + "; ".join(problems))
     return a
+
+
+def _algebra_from_text(text: str) -> Algebra:
+    adoc, diags = docsmod.parse_algebra(text)
+    if adoc is None:
+        raise UsageError("algebra parse failed: " + "; ".join(str(d) for d in diags))
+    return _checked(docsmod.build_algebra(adoc))
+
+
+def _load_algebra(path: str) -> Algebra:
+    return _algebra_from_text(_read_input(path))
 
 
 def _load_family(path: str, seed: int) -> tuple[Algebra, ProductFamily]:
@@ -129,9 +115,7 @@ def _load_family(path: str, seed: int) -> tuple[Algebra, ProductFamily]:
         a = docsmod.load_family_algebra(fdoc, base)
     except OSError as e:
         raise UsageError(str(e)) from e
-    problems = validate_algebra(a)
-    if problems:
-        raise DomainError("invalid algebra: " + "; ".join(problems))
+    _checked(a)
     try:
         factors = docsmod.resolve_factors(a, fdoc.factors, seed)
     except ValueError as e:
@@ -247,7 +231,7 @@ def _cmd_vset(args) -> Doc:
     z = vanishing_set(space, ideal)
     result = Doc()
     result.add("input_ideal_dim", ideal.dim)
-    result.add("points", " ".join(str(i) for i in sorted(z.point_ids)))
+    result.add("points", _id_list(z.point_ids))
     result.add("core_ideal_dim", z.ideal_subspace.dim)
     _basis_lines(result, "core_ideal_basis", z.ideal_subspace)
     return result
@@ -261,7 +245,7 @@ def _cmd_zlattice(args) -> Doc:
     result.add("count", len(family))
     for ids, dim in family.items():
         node = result.node("closed_set")
-        node.add("points", " ".join(str(i) for i in sorted(ids)))
+        node.add("points", _id_list(ids))
         node.add("ideal_dim", dim)
     return result
 
@@ -274,8 +258,8 @@ def _cmd_refined_closure(args) -> Doc:
         raise DomainError("point id out of range")
     closure = refined_closure(space, ids, args.seed)
     result = Doc()
-    result.add("input", " ".join(str(i) for i in sorted(set(ids))))
-    result.add("closure", " ".join(str(i) for i in sorted(closure)))
+    result.add("input", _id_list(set(ids)))
+    result.add("closure", _id_list(closure))
     result.add("closed", "true" if closure == frozenset(ids) else "false")
     return result
 
@@ -291,6 +275,16 @@ def _weyl_points_from_report(doc: Doc) -> int | None:
     return len(str(pts).split()) if pts else 0
 
 
+def _id_list(ids) -> str:
+    return " ".join(map(str, sorted(ids)))
+
+
+def _zariski_space(space, family) -> FiniteSpace:
+    """The Zariski topology as a finite space, built without ``make``:
+    ``point_closure`` validates it."""
+    return FiniteSpace(tuple(pt.id for pt in space.points), frozenset(family))
+
+
 def _cmd_point_closure(args) -> Doc:
     text = _read_input(args.infile)
     result = Doc()
@@ -302,34 +296,23 @@ def _cmd_point_closure(args) -> Doc:
         if npts is None:
             raise UsageError("report does not describe a symbolic space")
         space = weyl_model(npts)
-        fam = point_closure(space)
         result.add("space", "symbolic")
         result.add("named_points", " ".join(space.points))
-        result.add("count", len(fam.pairs))
-        for pair in fam.pairs:
-            node = result.node("pair")
-            node.add("closed_part", pair.c)
-            node.add("finite_part", " ".join(sorted(pair.f)))
-        return result
-    adoc, diags = docsmod.parse_algebra(text)
-    if adoc is None:
-        raise UsageError("algebra parse failed: " + "; ".join(str(d) for d in diags))
-    a = docsmod.build_algebra(adoc)
-    problems = validate_algebra(a)
-    if problems:
-        raise DomainError("invalid algebra: " + "; ".join(problems))
-    space = enumerate_irr(a, args.seed)
-    if len(space.points) > FINITE_POINT_CAP:
-        raise TopologyError(f"finite point closure capped at {FINITE_POINT_CAP} points")
-    fin = FiniteSpace.make([pt.id for pt in space.points], list(zariski_closed_family(space)))
-    fam = point_closure(fin)
-    result.add("space", "finite")
-    result.add("points", " ".join(str(pt.id) for pt in space.points))
+        show = str
+    else:
+        irr = enumerate_irr(_algebra_from_text(text), args.seed)
+        if len(irr.points) > FINITE_POINT_CAP:
+            raise TopologyError(f"finite point closure capped at {FINITE_POINT_CAP} points")
+        space = _zariski_space(irr, zariski_closed_family(irr))
+        result.add("space", "finite")
+        result.add("points", " ".join(map(str, space.points)))
+        show = _id_list
+    fam = point_closure(space)
     result.add("count", len(fam.pairs))
     for pair in fam.pairs:
         node = result.node("pair")
-        node.add("closed_part", " ".join(str(i) for i in sorted(pair.c)))
-        node.add("finite_part", " ".join(str(i) for i in sorted(pair.f)))
+        node.add("closed_part", show(pair.c))
+        node.add("finite_part", _id_list(pair.f))
     return result
 
 
@@ -341,8 +324,7 @@ def _cmd_compare(args) -> Doc:
         raise DomainError(f"compare enumerates subsets; capped at {CLOSURE_POINT_CAP} points")
     family = zariski_closed_family(space)
     zar = set(family)
-    fin = FiniteSpace.make([pt.id for pt in space.points], zar)
-    pc = point_closure(fin).point_sets()
+    pc = point_closure(_zariski_space(space, zar)).point_sets()
     refined = zar  # every point set is refined-closed (see refined_closure)
     powerset_count = 2**npts
     discrete = len(pc) == powerset_count and len(refined) == powerset_count and len(zar) == powerset_count
@@ -363,12 +345,12 @@ def _cmd_compare(args) -> Doc:
     everything = sorted(zar | pc | refined, key=lambda s: (len(s), sorted(s)))
     for ids in everything:
         node = result.node("closed_set")
-        node.add("points", " ".join(str(i) for i in sorted(ids)))
+        node.add("points", _id_list(ids))
         tags = [name for name, fam in (("zariski", zar), ("refined", refined), ("point-closure", pc)) if ids in fam]
         node.add("tags", " ".join(tags))
         if ids in family:  # its own vanishing set, with no finite part
             node.add("ideal_dim", family[ids])
-            node.add("v_points", " ".join(str(i) for i in sorted(ids)))
+            node.add("v_points", _id_list(ids))
             node.add("finite_part", "")
     return result
 
@@ -402,17 +384,17 @@ def _cmd_verify_form(args) -> Doc:
         raise DomainError("point id out of range")
     rep = verify_closed_form(space, ids, args.seed)
     result = Doc()
-    result.add("selection", " ".join(str(i) for i in sorted(rep.selection)))
+    result.add("selection", _id_list(rep.selection))
     result.add("refined_closed", "true" if rep.is_refined_closed else "false")
     if not rep.is_refined_closed:
-        result.add("closure", " ".join(str(i) for i in sorted(rep.closure)))
+        result.add("closure", _id_list(rep.closure))
         return result
     result.add("found", "true" if rep.found else "false")
     if rep.found:
         result.add("ideal_dim", rep.ideal_subspace.dim)
         _basis_lines(result, "ideal_basis", rep.ideal_subspace)
-        result.add("v_points", " ".join(str(i) for i in sorted(rep.v_points)))
-        result.add("finite_part", " ".join(str(i) for i in sorted(rep.finite_part)))
+        result.add("v_points", _id_list(rep.v_points))
+        result.add("finite_part", _id_list(rep.finite_part))
         result.add("ideal_semiprimitive", "true" if rep.ideal_semiprimitive else "false")
     return result
 
@@ -837,7 +819,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by every later ``run``."""
     ap = _Parser(prog="irrtop", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in HANDLERS:
         sp = sub.add_parser(name)
         sp.add_argument("--seed", type=_count, default=0)
         sp.add_argument("--in", dest="infile", default="-")

@@ -71,9 +71,6 @@ class Doc:
                 return v
         return None
 
-    def get_all(self, key: str) -> list:
-        return [v for k, v in self.items if k == key]
-
     def lines(self, indent: int = 0) -> list[str]:
         out = []
         pad = "  " * indent

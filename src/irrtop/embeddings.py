@@ -60,19 +60,10 @@ class ProductFamily:
 
     algebra: Algebra
     factors: tuple[ModuleRep, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if any(f.algebra is not self.algebra for f in self.factors):
             raise ValueError("all factors must live over the family's algebra")
-        if not self.labels:
-            object.__setattr__(
-                self,
-                "labels",
-                tuple(f.label or f"factor{i}" for i, f in enumerate(self.factors)),
-            )
-        if len(self.labels) != len(self.factors):
-            raise ValueError("one label per factor")
 
     def __len__(self) -> int:
         return len(self.factors)

@@ -63,9 +63,6 @@ class ModuleRep:
         x = as_vector(x, self.p)
         return np.einsum("i,ikl->kl", x, self.action) % self.p
 
-    def apply(self, x, v) -> np.ndarray:
-        return (self.act(x) @ as_vector(v, self.p)) % self.p
-
     def relabel(self, label: str) -> "ModuleRep":
         return ModuleRep(self.algebra, self.n, self.action, label)
 

@@ -105,7 +105,7 @@ def enumerate_irr(a: Algebra, seed: int = 0) -> IrrSpace:
     return IrrSpace(a, tuple(IrrPoint(i, dim, ann, seed) for i, (dim, ann) in enumerate(classes)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZClosed:
     """A Zariski closed set in canonical form: its point set together with
     the recanonicalized defining ideal (the meet of the member
@@ -114,16 +114,6 @@ class ZClosed:
     space: IrrSpace
     ideal_subspace: Subspace
     point_ids: frozenset[int]
-
-    @property
-    def ideal(self) -> Ideal:
-        return Ideal(self.space.algebra, self.ideal_subspace, "two-sided")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZClosed) and self.point_ids == other.point_ids and self.space is other.space
-
-    def __hash__(self) -> int:
-        return hash(self.point_ids)
 
 
 def vanishing_set(space: IrrSpace, ideal: Ideal) -> ZClosed:

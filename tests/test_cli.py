@@ -368,6 +368,19 @@ def test_cli_point_closure_concrete(tmp_path):
     assert code == 0 and "count: 4" in out
 
 
+def test_cli_validates_each_finite_space_once(tmp_path, monkeypatch):
+    from irrtop.pointclosure import FiniteSpace
+
+    calls = []
+    validate = FiniteSpace.validate
+    monkeypatch.setattr(FiniteSpace, "validate", lambda space: calls.append(space) or validate(space))
+    alg = _write(tmp_path, "cs3.alg", "preset: commutative_split(3, 2)\n")
+    for command in ("point-closure", "compare"):
+        calls.clear()
+        code, _ = run([command, "--in", alg, "--format", "structured"])
+        assert code == 0 and len(calls) == 1, command
+
+
 def test_cli_weyl_pipe(tmp_path):
     code, wm = run(["weyl-model", "--points", "3", "--format", "structured"])
     assert code == 0

@@ -285,3 +285,53 @@ def test_symbolic_point_closure_refuses_above_cap():
     with pytest.raises(TopologyError, match="capped"):
         point_closure(wm)
     assert len(point_closure(weyl_model(4)).pairs) == 17
+
+
+def test_symbolic_validate_reports_missing_subset_and_membership_entries():
+    # Both tables are total by the SymbolicSpace contract; a hole must be
+    # refused at the boundary, not surface as a KeyError mid-closure.
+    for table, key in (("subset", ("ALL", "EMPTY")), ("member", ("q0", "ALL"))):
+        wm = weyl_model(2)
+        del getattr(wm, table)[key]
+        assert any(f"{key[0]}, {key[1]}" in msg for msg in wm.validate()), table
+        with pytest.raises(TopologyError):
+            point_closure(wm)
+
+
+def test_pc_union_over_a_partial_join_table_is_refused():
+    wm = weyl_model(2)
+    del wm.join[("EMPTY", "ALL")]
+    finite = make_pair(wm, "EMPTY", frozenset(["q0"]))
+    alls = make_pair(wm, "ALL", frozenset())
+    with pytest.raises(TopologyError, match="union of EMPTY and ALL is not in the declared closed family"):
+        pc_union([finite, alls])
+
+
+def test_symbolic_pairs_do_not_enumerate_their_points():
+    with pytest.raises(TopologyError, match="symbolic pairs do not enumerate their points"):
+        pair_point_set(make_pair(weyl_model(2), "EMPTY", frozenset(["q1"])))
+
+
+def test_operations_on_no_pairs_are_refused():
+    for op, msg in ((pc_intersect, "intersection of no pairs"), (pc_union, "union of no pairs"), (chain_stabilize, "empty chain")):
+        with pytest.raises(TopologyError, match=msg):
+            op([])
+
+
+def test_closed_pair_repr_on_both_kinds_of_space():
+    fin = FiniteSpace.make(range(3), frozenset([frozenset(), frozenset([0, 1]), frozenset(range(3))]))
+    assert repr(make_pair(fin, frozenset([0, 1]), frozenset())) == "ClosedPair({0,1} + [])"
+    assert repr(make_pair(fin, frozenset(), frozenset([2, 0]))) == "ClosedPair({} + [0, 2])"
+    wm = weyl_model(3)
+    assert repr(make_pair(wm, "EMPTY", frozenset(["q2", "q0"]))) == "ClosedPair(EMPTY + ['q0', 'q2'])"
+    assert repr(make_pair(wm, "ALL", frozenset(["q1"]))) == "ClosedPair(ALL + [])"
+
+
+def test_cap_messages():
+    over = FINITE_POINT_CAP + 1
+    with pytest.raises(TopologyError) as err:
+        point_closure(FiniteSpace.make(range(over), trivial_family(over)))
+    assert str(err.value) == "finite point closure capped at 12 points"
+    with pytest.raises(TopologyError) as err:
+        point_closure(weyl_model(over))
+    assert str(err.value) == "symbolic point closure capped at 12 named points"
