@@ -96,10 +96,13 @@ def render_report(doc: Doc) -> str:
 
 
 def parse_report(text: str) -> tuple[Doc | None, list[Diagnostic]]:
+    """The tree of a report, whose header is its first nonblank line;
+    diagnostics carry the line numbers of the whole text."""
     lines = text.splitlines()
-    if not lines or lines[0].strip() != FORMAT_HEADER:
-        return None, [Diagnostic(1, 1, f"missing {FORMAT_HEADER} header")]
-    body_lines = [(ln, raw) for ln, raw in enumerate(lines[1:], start=2) if raw.strip()]
+    head = next((i for i, raw in enumerate(lines) if raw.strip()), 0)
+    if head == len(lines) or lines[head].strip() != FORMAT_HEADER:
+        return None, [Diagnostic(head + 1, 1, f"missing {FORMAT_HEADER} header")]
+    body_lines = [(ln, raw) for ln, raw in enumerate(lines[head + 1 :], start=head + 2) if raw.strip()]
     root = Doc()
     stack: list[tuple[int, Doc]] = [(-1, root)]
     diags: list[Diagnostic] = []
@@ -585,7 +588,7 @@ def load_family_algebra(doc: FamilyDoc, base_dir: str) -> Algebra:
     return build_algebra(adoc)
 
 
-def resolve_factors(a: Algebra, specs, seed: int = 0) -> list[ModuleRep]:
+def resolve_factors(a: Algebra, specs) -> list[ModuleRep]:
     """Instantiate factor specs against an algebra; simple#k follows the
     enumeration order of the irreducible-class listing. An explicit factor
     must satisfy the module axioms (``check_module``)."""
@@ -598,7 +601,7 @@ def resolve_factors(a: Algebra, specs, seed: int = 0) -> list[ModuleRep]:
             m = regular_module(a)
         elif spec.kind == "simple":
             if space is None:
-                space = enumerate_irr(a, seed)
+                space = enumerate_irr(a)
             if spec.index >= len(space.points):
                 raise ValueError(f"simple#{spec.index} out of range: only {len(space.points)} classes")
             m = space.points[spec.index].rep

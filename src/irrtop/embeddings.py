@@ -574,7 +574,7 @@ class SufficiencyReport:
     note: str
 
 
-def sufficiency_check(a: Algebra, fam: ProductFamily, seed: int = 0) -> SufficiencyReport:
+def sufficiency_check(a: Algebra, fam: ProductFamily) -> SufficiencyReport:
     """Compare the number of faithful factors against the descent bound of
     the regular module; at or above the bound the chain construction cannot
     run out of useful factors.
@@ -582,7 +582,7 @@ def sufficiency_check(a: Algebra, fam: ProductFamily, seed: int = 0) -> Sufficie
     No module is split: the bound is the regular module's length from its
     Loewy layers plus two, and the algebra is simple iff its radical is zero
     and A/J has one block, both read off the same blocks of A/J
-    (``semisimple_blocks``). ``seed`` is unused."""
+    (``semisimple_blocks``)."""
     faithful = sum(1 for s in _factor_annihilators(a, fam.factors) if s.is_zero)
     blocks = semisimple_blocks(a)
     bound = regular_length(a, blocks) + 2

@@ -336,7 +336,8 @@ def annihilator_meet(a: Algebra, anns: list[Subspace]) -> Subspace:
 
 def jacobson_radical(a: Algebra, seed: int = 0) -> Ideal:
     """The Jacobson radical J by the p-power trace chain (Ronyai 1990;
-    Cohen, Ivanyos & Wales 1997). It is deterministic: ``seed`` is unused.
+    Cohen, Ivanyos & Wales 1997). It is deterministic: ``seed`` is unused,
+    and kept for callers that pass it.
 
     With l = floor(log_p d), I_(-1) = A and, for i = 0 ... l,
     I_i = {x in I_(i-1) : g_i(x e_j) = 0 for every basis element e_j},
@@ -357,8 +358,9 @@ def _trace_chain(a: Algebra) -> Subspace:
     alone and I_i is one kernel in those coordinates. Every float64 product
     is exact: from level 1 on p <= d, entries stay below
     q = p^(i+1) <= p * d <= 144^2, and every sum (at most d^2 products, in
-    the trace of a product) stays below 144^6 < 2^43; at level 0, for any p,
-    the sums stay below d * p^2 < 2^48."""
+    the trace of a product) stays below 144^6 < 2^44, inside the 2^53 of
+    exact float64 integers; at level 0, for any p, the sums stay below
+    d * p^2 < 2^48."""
     d, p = a.dim, a.p
     lam = a.mul.astype(np.float64)
     tau = _mod(np.einsum("tss->t", lam), p)  # Tr(L_(e_t))
@@ -637,22 +639,23 @@ def _level_idempotents(f: np.ndarray, step: np.ndarray, p: int) -> np.ndarray:
     return np.array(out)
 
 
-def class_representative(ann: Ideal, dim: int, seed: int = 0) -> ModuleRep:
+def class_representative(ann: Ideal, dim: int) -> ModuleRep:
     """A simple module of dimension dim with annihilator ann, a maximal
     ideal of the algebra: A/ann is a block M_n(GF(p^e)), which is simple as
     a module when n = 1 and otherwise the sum of n copies of the simple
     module. So the representative is A/ann itself when its dimension is dim,
-    and otherwise the first composition factor of A/ann, seeded."""
+    and otherwise the first composition factor of A/ann under the fixed
+    stream 0, so that it is a function of the algebra alone."""
     _, quot = sub_quotient(regular_module(ann.algebra), ann.subspace)
-    rep = quot if quot.n == dim else composition_factors(quot, seed)[0]
+    rep = quot if quot.n == dim else composition_factors(quot, 0)[0]
     if rep.n != dim:
         raise AssertionError(f"a class of dimension {dim} got a representative of dimension {rep.n}")
     return rep
 
 
-def is_semiprimitive(a: Algebra, ideal: Ideal, seed: int = 0) -> bool:
+def is_semiprimitive(a: Algebra, ideal: Ideal) -> bool:
     """True iff the ideal is an intersection of simple-module annihilators:
     the meet of the class annihilators containing it; the empty meet is the
-    whole algebra. ``seed`` is unused."""
+    whole algebra."""
     anns = [ann.subspace for _, ann in semisimple_classes(a)]
     return annihilator_meet(a, [s for s in anns if s.contains_space(ideal.subspace)]) == ideal.subspace

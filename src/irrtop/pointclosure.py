@@ -92,8 +92,8 @@ class FiniteSpace:
     lub = staticmethod(operator.or_)
     minus = staticmethod(operator.sub)
 
-    def family(self) -> list:
-        return sorted(self.closed, key=lambda s: (len(s), sorted(s)))
+    def family(self) -> frozenset:
+        return self.closed
 
     def show(self, c) -> str:
         return "{" + ",".join(map(str, sorted(c))) + "}"
@@ -277,7 +277,9 @@ class ClosedPair:
 
 
 def make_pair(space, c, f) -> ClosedPair:
-    """Build the canonical pair denoting the set c union f."""
+    """Build the canonical pair denoting the set c union f. The closed part
+    ends as the join of every family member inside c union f, so the pair
+    does not depend on the order in which the family is scanned."""
     f = frozenset(pt for pt in f if not space.contains(c, pt))
     changed = True
     while changed:

@@ -6,9 +6,9 @@ finite products.
 The points come from the blocks of the semisimple quotient A/J
 (``semisimple_classes``): one per primitive central idempotent, with its
 dimension and its annihilator, and no module. They are ordered by dimension
-and then by the annihilator's RREF basis, an order of the algebra alone, so
-no class listing depends on the seed. A point's representative module is
-built only when a caller asks for it (``IrrPoint.rep``).
+and then by the annihilator's RREF basis, an order of the algebra alone. A
+point's representative module is built only when a caller asks for it
+(``IrrPoint.rep``), and is a function of the algebra too.
 
 Theory decides the topologies: class annihilators are distinct maximal
 ideals, so every point is Zariski-closed, and by Jordan-Hoelder a sum of
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import Algebra, Ideal
 from .linalg import Subspace
@@ -53,17 +53,15 @@ CLOSURE_POINT_CAP = 8
 @dataclass(frozen=True)
 class IrrPoint:
     """One simple class: its dimension and annihilator. The representative
-    module is built on first use (``class_representative``, seeded when the
-    class's block is not a field) and kept."""
+    module is built on first use (``class_representative``) and kept."""
 
     id: int
     dim: int
     ann: Ideal
-    seed: int = field(default=0, compare=False)
 
     @functools.cached_property
     def rep(self) -> ModuleRep:
-        return class_representative(self.ann, self.dim, self.seed).relabel(f"simple#{self.id}")
+        return class_representative(self.ann, self.dim).relabel(f"simple#{self.id}")
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,12 @@ class IrrSpace:
         raise ValueError("simple module matches no enumerated class")
 
 
-def enumerate_irr(a: Algebra, seed: int = 0) -> IrrSpace:
+def enumerate_irr(a: Algebra) -> IrrSpace:
     """Isomorphism classes of simple modules, from the blocks of A/J
     (``semisimple_classes``), ordered by dimension and then by the
-    annihilator's RREF basis: an order of the algebra alone, whatever the
-    seed. ``seed`` reaches only the representatives built later."""
+    annihilator's RREF basis: an order of the algebra alone."""
     classes = sorted(semisimple_classes(a), key=lambda c: (c[0], c[1].subspace.basis.tolist()))
-    return IrrSpace(a, tuple(IrrPoint(i, dim, ann, seed) for i, (dim, ann) in enumerate(classes)))
+    return IrrSpace(a, tuple(IrrPoint(i, dim, ann) for i, (dim, ann) in enumerate(classes)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,11 +146,11 @@ def zariski_closed_family(space: IrrSpace) -> dict[frozenset[int], int]:
     }
 
 
-def refined_closure(space: IrrSpace, ids, seed: int = 0) -> frozenset[int]:
+def refined_closure(space: IrrSpace, ids) -> frozenset[int]:
     """Least superset closed under taking classes of composition factors of
     the product of one representative per member class. Those factors are
     the members themselves (Jordan-Hoelder), so this checks that the ids lie
-    in the space and returns them; ``seed`` is unused."""
+    in the space and returns them."""
     current = frozenset(int(i) for i in ids)
     if not current <= space.all_ids():
         raise ValueError("point selection outside the space")
@@ -162,34 +159,20 @@ def refined_closure(space: IrrSpace, ids, seed: int = 0) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class FormReport:
-    """Decomposition of a refined-closed set as a vanishing set plus a
-    finite remainder."""
+    """Decomposition of a point set as a vanishing set plus a finite
+    remainder. Every point set is refined-closed and is its own vanishing
+    set, so only the ideal varies: the finite part is always empty and the
+    ideal is semiprimitive."""
 
     space: IrrSpace
     selection: frozenset[int]
-    is_refined_closed: bool
-    closure: frozenset[int]
-    found: bool = False
-    ideal_subspace: Subspace | None = None
-    v_points: frozenset[int] = field(default_factory=frozenset)
-    finite_part: frozenset[int] = field(default_factory=frozenset)
-    ideal_semiprimitive: bool = False
+    ideal_subspace: Subspace
 
 
-def verify_closed_form(space: IrrSpace, ids, seed: int = 0) -> FormReport:
-    """Check a point set is refined-closed and decompose it as
-    vanishing-set-plus-finite-set, minimizing the finite part. Every point
-    set is closed, so the selection is its own vanishing set, with the
-    checked meet of its annihilators as ideal and no finite part; ``seed``
-    is unused."""
-    selection = refined_closure(space, ids, seed)
-    return FormReport(
-        space,
-        selection,
-        True,
-        selection,
-        found=True,
-        ideal_subspace=space.ann_meet(selection),
-        v_points=selection,
-        ideal_semiprimitive=True,
-    )
+def verify_closed_form(space: IrrSpace, ids) -> FormReport:
+    """Check a point set lies in the space and decompose it as
+    vanishing-set-plus-finite-set. Every point set is closed, so the
+    selection is its own vanishing set, with the checked meet of its
+    annihilators as ideal and no finite part."""
+    selection = refined_closure(space, ids)
+    return FormReport(space, selection, space.ann_meet(selection))

@@ -44,7 +44,7 @@ from irrtop.pointclosure import (
     weyl_model,
 )
 from irrtop.presets import gallery, matrix_algebra, upper_triangular
-from irrtop.topology import enumerate_irr, refined_closure, verify_closed_form, zariski_closed_family
+from irrtop.topology import enumerate_irr, refined_closure, vanishing_set, verify_closed_form, zariski_closed_family
 
 
 class Criterion:
@@ -115,12 +115,12 @@ def test_criterion_3_refined_equals_zariski_on_presets():
     c = Criterion(3, "refined closure is trivial and all three topologies are discrete on presets", 120)
     ok = True
     for a in gallery():
-        space = enumerate_irr(a, 0)
+        space = enumerate_irr(a)
         n = len(space.points)
         ok &= n <= 8
         subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2**n)]
         for ids in subsets:
-            ok &= refined_closure(space, ids, 0) == ids
+            ok &= refined_closure(space, ids) == ids
         zar = set(zariski_closed_family(space))
         ok &= zar == set(subsets)  # Zariski discrete
         fin = FiniteSpace.make(range(n), zar)
@@ -132,16 +132,16 @@ def test_criterion_4_closed_form_decomposition():
     c = Criterion(4, "every refined-closed set decomposes as vanishing set plus finite set", 60)
     ok = True
     for a in gallery():
-        space = enumerate_irr(a, 0)
+        space = enumerate_irr(a)
         n = len(space.points)
         for mask in range(2**n):
             ids = frozenset(i for i in range(n) if mask >> i & 1)
-            rep = verify_closed_form(space, ids, 0)
-            ok &= rep.is_refined_closed and rep.found
-            ok &= rep.v_points | rep.finite_part == ids
-            ok &= rep.v_points & rep.finite_part == frozenset()
-            ok &= rep.ideal_semiprimitive
-            ok &= is_semiprimitive(a, Ideal(a, rep.ideal_subspace, "two-sided"), 0)
+            rep = verify_closed_form(space, ids)
+            ideal = Ideal(a, rep.ideal_subspace, "two-sided")
+            # The selection is the whole vanishing set of its ideal: the
+            # finite part is empty.
+            ok &= rep.selection == ids and vanishing_set(space, ideal).point_ids == ids
+            ok &= is_semiprimitive(a, ideal)
     c.finish(ok)
 
 
@@ -194,11 +194,11 @@ def test_criterion_6_staged_construction():
     c = Criterion(6, "staged construction succeeds where exhaustive search certifies a witness", 30)
     ok = True
     ut2 = upper_triangular(2, 2)
-    sp = enumerate_irr(ut2, 0)
+    sp = enumerate_irr(ut2)
     s1, s2 = sp.points[0].rep, sp.points[1].rep
     reg = regular_module(ut2)
     m2 = matrix_algebra(2, 2)
-    sm = enumerate_irr(m2, 0).points[0].rep
+    sm = enumerate_irr(m2).points[0].rep
     regm = regular_module(m2)
     # Each stage must consume fresh factors, so every family carries at
     # least one factor per basis slab.
@@ -232,14 +232,14 @@ def test_criterion_7_chain_construction():
         reg = regular_module(a)
         bound = chain_bound(reg, 0)
         fam = ProductFamily(a, tuple([reg] * bound))
-        rep = sufficiency_check(a, fam, 0)
+        rep = sufficiency_check(a, fam)
         ok &= rep.guaranteed
         witness, trace = chain_product_embedding(fam, 0)
         ok &= trace.outcome == "witness" and witness is not None and witness.valid
         dims = [s.l_dim_after for s in trace.steps if s.accepted]
         ok &= all(x > y for x, y in zip(dims, dims[1:]))
     ut2 = upper_triangular(2, 2)
-    s1 = enumerate_irr(ut2, 0).points[0].rep
+    s1 = enumerate_irr(ut2).points[0].rep
     witness, trace = chain_product_embedding(ProductFamily(ut2, (s1, s1, s1, s1)), 0)
     ok &= witness is None and trace.outcome == "failure"
     ok &= trace.final_l == Subspace.from_rows([[0, 1, 0], [0, 0, 1]], 2)

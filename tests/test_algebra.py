@@ -155,7 +155,7 @@ def test_check_module_matches_the_dense_oracle():
     rng = np.random.default_rng(11)
     seen_bad = seen_many = 0
     for a in gallery() + [matrix_algebra(3, 2), group_algebra(cyclic_group_table(6), 3)]:
-        mods = [regular_module(a), zero_module(a)] + [pt.rep for pt in enumerate_irr(a, 0).points]
+        mods = [regular_module(a), zero_module(a)] + [pt.rep for pt in enumerate_irr(a).points]
         for m in list(mods):
             if m.n == 0:
                 continue

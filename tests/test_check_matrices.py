@@ -81,7 +81,7 @@ def assert_rref(s: Subspace):
 
 @pytest.mark.parametrize("a", algebras())
 def test_kernel_meets_match_the_intersect_fold(a):
-    space = enumerate_irr(a, 0)
+    space = enumerate_irr(a)
     n = len(space)
     assert n <= 5
     anns = [pt.ann.subspace for pt in space.points]
@@ -102,7 +102,7 @@ def test_embedding_folds_match_the_intersect_fold(a):
     kernel fold over a subfamily, repeats and the empty family included."""
     rng = np.random.default_rng(a.dim * a.p)
     reg = regular_module(a)
-    factors = [reg, zero_module(a)] + [pt.rep for pt in enumerate_irr(a, 0).points]
+    factors = [reg, zero_module(a)] + [pt.rep for pt in enumerate_irr(a).points]
     for _ in range(2):
         factors.extend(sub_quotient(reg, spin(reg, [rng.integers(0, a.p, size=a.dim)])))
     anns = [annihilator_subspace(f) for f in factors]
@@ -140,7 +140,7 @@ SMALL = [
         "product(matrix_algebra(2, 2), upper_triangular(2, 2))",
     )
 ]
-SIMPLES = [[pt.rep for pt in enumerate_irr(a, 0).points] for a in SMALL]
+SIMPLES = [[pt.rep for pt in enumerate_irr(a).points] for a in SMALL]
 
 
 @settings(max_examples=200)
@@ -178,7 +178,7 @@ def test_class_annihilators_need_no_module_and_no_ideal_check(monkeypatch):
         check = annihilates_as_ideal
         monkeypatch.setattr(modules, "annihilates_as_ideal", lambda m, s, c=check: checks.append(1) or c(m, s))
         monkeypatch.setattr(meataxe, "is_ideal", lambda a, s, sided, i=is_ideal: ideals.append(1) or i(a, s, sided))
-        assert len(enumerate_irr(a, 0)) == classes
+        assert len(enumerate_irr(a)) == classes
         assert (len(kernels), len(checks), len(ideals)) == (0, 0, 1), a.name
         # The radical is the trace chain: no class, so no class annihilator.
         checks.clear()
@@ -192,7 +192,7 @@ def test_class_annihilators_need_no_module_and_no_ideal_check(monkeypatch):
 
 def _duplicated_space(a):
     """The first class twice: two points with one annihilator."""
-    first = enumerate_irr(a, 0).points[0]
+    first = enumerate_irr(a).points[0]
     return IrrSpace(a, (first, IrrPoint(1, first.dim, first.ann)))
 
 
@@ -208,7 +208,7 @@ def test_a_duplicated_point_breaks_the_chinese_remainder_identity():
 
 @pytest.mark.parametrize("argv", [["vset"], ["zlattice"], ["point-closure"], ["compare"], ["verify-form", "--set", "0,1"]])
 def test_cli_exits_3_on_a_duplicated_point(tmp_path, monkeypatch, argv):
-    monkeypatch.setattr(cli, "enumerate_irr", lambda a, seed: _duplicated_space(a))
+    monkeypatch.setattr(cli, "enumerate_irr", lambda a: _duplicated_space(a))
     alg = tmp_path / "ut2.alg"
     alg.write_text("preset: upper_triangular(2, 2)\n")
     code, out = run(argv + ["--in", str(alg), "--format", "structured"])

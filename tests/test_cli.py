@@ -153,7 +153,7 @@ def test_parse_family_explicit_and_quotient():
     from irrtop.docs import load_family_algebra, resolve_factors
 
     a = load_family_algebra(doc, ".")
-    mods = resolve_factors(a, doc.factors, 0)
+    mods = resolve_factors(a, doc.factors)
     assert mods[0].n == 1
     assert mods[1].n == 2  # regular / span{e12}
 
@@ -232,7 +232,7 @@ report_lines = st.tuples(
 
 
 @settings(max_examples=300)
-@given(st.sampled_from(["irrtop/1\n", " irrtop/1 \n", "", "irrtop/2\n"]), st.lists(report_lines, max_size=8).map("\n".join))
+@given(st.sampled_from(["irrtop/1\n", " irrtop/1 \n", "", "irrtop/2\n", "\n \nirrtop/1\n"]), st.lists(report_lines, max_size=8).map("\n".join))
 @example("irrtop/1\n", "   a: 1")
 @example("irrtop/1\n", "a:\n    b: 1\n c: 2")
 @example("irrtop/1\n", "\x85a: 1\u2028  b:")
@@ -243,6 +243,14 @@ def test_parse_report_is_total(header, body):
     assert doc is not None or diags
     for d in diags:
         assert 1 <= d.line <= max(1, len(text.splitlines())) and d.col >= 1, d
+
+
+def test_parse_report_skips_leading_blank_lines_and_keeps_line_numbers():
+    doc, diags = parse_report("\n  \nirrtop/1\ncommand: irr\n   bad: 1\n")
+    assert doc is not None and doc.get("command") == "irr"
+    assert [(d.line, d.col, d.message) for d in diags] == [(5, 3, "odd indentation")]
+    assert [(d.line, d.message) for d in parse_report("\n\nirrtop/2\n")[1]] == [(3, "missing irrtop/1 header")]
+    assert [(d.line, d.message) for d in parse_report("\n \n")[1]] == [(1, "missing irrtop/1 header")]
 
 
 def test_family_diagnostics():
@@ -391,6 +399,13 @@ def test_cli_weyl_pipe(tmp_path):
     assert out.count("closed_part: ALL") == 1
 
 
+def test_cli_point_closure_reads_a_report_after_blank_lines(tmp_path):
+    code, wm = run(["weyl-model", "--points", "3", "--format", "structured"])
+    want = run(["point-closure", "--in", _write(tmp_path, "wm.txt", wm), "--format", "structured"])
+    got = run(["point-closure", "--in", _write(tmp_path, "wm-blank.txt", "\n" + wm), "--format", "structured"])
+    assert code == 0 and want[0] == 0 and got == want
+
+
 def test_cli_embedding_commands(tmp_path):
     fam = _write(tmp_path, "fam.fam", FAMILY_TEXT)
     code, out = run(["embed", "--in", fam, "--format", "structured"])
@@ -433,6 +448,28 @@ def test_cli_chain_bound(tmp_path):
     assert code == 0 and "length: 3\n  bound: 5\n" in out
     code, out = run(["chain-bound", "--in", alg, "--module", "simple#0", "--format", "structured"])
     assert code == 0 and "bound: 3" in out
+    # The module is named in canonical form.
+    assert run(["chain-bound", "--in", alg, "--module", "simple#01", "--format", "structured"]) == run(
+        ["chain-bound", "--in", alg, "--module", "simple#1", "--format", "structured"]
+    )
+    code, out = run(["chain-bound", "--in", alg, "--module", "simple#00", "--format", "structured"])
+    assert code == 0 and "  module: simple#0\n" in out
+
+
+FAMILY_DOMAIN_ERRORS = [
+    ("embed", "factor: simple#5\n", [], "simple#5 out of range: only 2 classes"),
+    ("embed", "factor: quotient 1 0\n", [], "quotient generators must have length dim"),
+    ("embed", "factor: simple#0\n", ["--ideal", "1 0 1"], "target ideal must annihilate the whole product"),
+    ("embed-staged", "factor: simple#0\nfactor: simple#1\n", ["--ideal", "1 0 0"], "target ideal does not annihilate every factor"),
+    ("embed-staged", "factor: regular\n", ["--order", "0,0,1"], "basis order must be a permutation of the working basis indices"),
+    ("stability", "factor: regular\n", ["--t", "1"], "deletion budget must be smaller than the factor count"),
+]
+
+
+@pytest.mark.parametrize("command, factor, extra, message", FAMILY_DOMAIN_ERRORS)
+def test_cli_family_domain_errors_exit_1(tmp_path, command, factor, extra, message):
+    fam = _write(tmp_path, "f.fam", "algebra: preset upper_triangular(2, 2)\n" + factor)
+    assert run([command, "--in", fam, "--format", "structured"] + extra) == (1, f"error: {message}\n")
 
 
 def test_cli_exit_codes(tmp_path):
@@ -626,6 +663,16 @@ def test_selftest_checks_the_factors_of_sums_of_simples(monkeypatch, name, fake)
     assert dict(cli._selftest_checks(0))[check]
     monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
     assert not dict(cli._selftest_checks(0))[check]
+
+
+def test_selftest_validates_each_finite_space_once(monkeypatch):
+    from irrtop.pointclosure import FiniteSpace
+
+    calls = []
+    validate = FiniteSpace.validate
+    monkeypatch.setattr(FiniteSpace, "validate", lambda space: calls.append(space) or validate(space))
+    assert all(ok for _, ok in cli._selftest_checks(0))
+    assert len(calls) == 56
 
 
 def test_cli_output_file(tmp_path):

@@ -193,7 +193,7 @@ ALGEBRA_IDS = [a.name for a in gallery()] + ["M1/big", "T2/big", "C2/big"]
 
 def small_modules(a: Algebra):
     """One simple module per class, split off by the meataxe at every prime."""
-    return [pt.rep for pt in enumerate_irr(a, 0).points]
+    return [pt.rep for pt in enumerate_irr(a).points]
 
 
 # --- linalg ----------------------------------------------------------------

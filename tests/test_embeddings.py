@@ -33,7 +33,7 @@ from irrtop.topology import enumerate_irr
 
 def ut2_setup():
     a = upper_triangular(2, 2)
-    sp = enumerate_irr(a, 0)
+    sp = enumerate_irr(a)
     s1 = sp.points[0].rep  # annihilated by span{e12, e22}
     s2 = sp.points[1].rep
     return a, s1, s2, regular_module(a)
@@ -183,7 +183,7 @@ def test_staged_rejects_non_killed_factor():
 
 def test_staged_respects_basis_order():
     a = matrix_algebra(2, 2)
-    s = enumerate_irr(a, 0).points[0].rep
+    s = enumerate_irr(a).points[0].rep
     fam = ProductFamily(a, tuple([s] * 6))
     w, trace = staged_product_embedding(fam, basis_order=(0, 2, 1, 3), seed=0)
     assert trace.outcome == "witness" and w.valid and w.orbit_dim == 4
@@ -251,7 +251,7 @@ def test_sufficiency_guarantee_realized():
         reg = regular_module(a)
         bound = chain_bound(reg, 0)
         fam = ProductFamily(a, tuple([reg] * bound))
-        rep = sufficiency_check(a, fam, 0)
+        rep = sufficiency_check(a, fam)
         assert rep.guaranteed
         w, trace = chain_product_embedding(fam, 0)
         assert trace.outcome == "witness" and w.valid
@@ -260,7 +260,7 @@ def test_sufficiency_guarantee_realized():
 def test_sufficiency_empty_family():
     a = upper_triangular(2, 2)
     fam = ProductFamily(a, ())
-    rep = sufficiency_check(a, fam, 0)
+    rep = sufficiency_check(a, fam)
     assert not rep.guaranteed
     w, trace = chain_product_embedding(fam, 0)
     assert w is None and trace.outcome == "failure"
@@ -268,8 +268,8 @@ def test_sufficiency_empty_family():
 
 def test_sufficiency_simple_algebra_note():
     a = matrix_algebra(2, 2)
-    s = enumerate_irr(a, 0).points[0].rep
-    rep = sufficiency_check(a, ProductFamily(a, (s, s)), 0)
+    s = enumerate_irr(a).points[0].rep
+    rep = sufficiency_check(a, ProductFamily(a, (s, s)))
     assert rep.algebra_simple and "faithful" in rep.note
     assert rep.faithful_count == 2
 
@@ -369,7 +369,7 @@ def test_search_matches_the_per_candidate_scan_over_ut2():
 
 def test_search_matches_the_per_candidate_scan_over_m2():
     a = matrix_algebra(2, 2)
-    s = enumerate_irr(a, 0).points[0].rep
+    s = enumerate_irr(a).points[0].rep
     reg = regular_module(a)
     for factors in [(s,), (s, s), (s, s, s), (reg,), (s, reg)]:
         assert_search_matches_oracle(ProductFamily(a, factors), zero_ideal(a))
@@ -388,7 +388,7 @@ def test_sampled_search_matches_the_per_candidate_scan():
     # M2 over GF(67) on one copy of its natural module: ann(product) = 0, yet
     # every orbit has dimension at most 2, so the budget runs out.
     m2 = matrix_algebra(2, 67)
-    nat = ProductFamily(m2, (enumerate_irr(m2, 0).points[0].rep,))
+    nat = ProductFamily(m2, (enumerate_irr(m2).points[0].rep,))
     assert nat.state_count() > EXHAUSTIVE_CAP
     assert assert_search_matches_oracle(nat, zero_ideal(m2), 0, budget=40).status == "unknown"
 
@@ -404,7 +404,7 @@ def test_search_matches_the_per_candidate_scan_across_chunk_boundaries(monkeypat
     # Exhaustive, 512 states: the witness is candidate 325, long after the
     # first chunk, and the zero_module factor contributes no rows.
     a = upper_triangular(3, 2)
-    simples = [pt.rep for pt in enumerate_irr(a, 0).points]
+    simples = [pt.rep for pt in enumerate_irr(a).points]
     fam = ProductFamily(a, (regular_module(a), zero_module(a)) + tuple(simples))
     assert fam.state_count() <= EXHAUSTIVE_CAP
     assert assert_search_matches_oracle(fam, zero_ideal(a)).tried == 325
@@ -443,7 +443,7 @@ def test_equal_factors_share_one_checked_annihilator(monkeypatch):
         calls.clear()
         find_embedding(fam, zero_ideal(a), 0)
         deletion_stability(fam, zero_ideal(a), 1)
-        sufficiency_check(a, fam, 0)
+        sufficiency_check(a, fam)
         assert len(calls) == 3 * distinct, calls
 
 
@@ -494,7 +494,7 @@ def test_orbit_dimension_is_codimension_of_the_annihilator():
     dimension d - dim ann(x)."""
     for a in gallery():
         rng = np.random.default_rng(a.dim * a.p)
-        fam = ProductFamily(a, (regular_module(a),) + tuple(pt.rep for pt in enumerate_irr(a, 0).points))
+        fam = ProductFamily(a, (regular_module(a),) + tuple(pt.rep for pt in enumerate_irr(a).points))
         big = direct_sum(a, list(fam.factors))
         for _ in range(6):
             comps = [rng.integers(0, a.p, size=f.n) * int(rng.integers(0, 2)) for f in fam.factors]
@@ -520,6 +520,6 @@ def test_sufficiency_check_matches_three_separate_splits(monkeypatch):
             mp.setattr(embeddings, "composition_factors", counted)
             mp.setattr(meataxe, "composition_factors", counted)
             calls.clear()
-            rep = sufficiency_check(a, ProductFamily(a, (reg,)), 0)
+            rep = sufficiency_check(a, ProductFamily(a, (reg,)))
         assert calls == [], a.name
         assert (rep.bound, rep.algebra_simple) == (want_bound, want_simple), a.name

@@ -117,7 +117,7 @@ def test_sufficiency_reads_the_bound_and_simplicity_off_the_blocks():
         ("truncated_polynomial(4, 5)", 6, False),  # one class, J != 0
     ]:
         a = _preset(expr)
-        rep = sufficiency_check(a, ProductFamily(a, (regular_module(a),)), 0)
+        rep = sufficiency_check(a, ProductFamily(a, (regular_module(a),)))
         assert (rep.bound, rep.algebra_simple) == (bound, simple), expr
         assert rep.bound == chain_bound(regular_module(a), 0), expr
 
@@ -158,9 +158,10 @@ def test_chain_bound_gives_the_meataxe_bound_at_every_seed(tmp_path, expr):
     alg = tmp_path / "a.alg"
     alg.write_text(f"preset: {expr}\n")
     reg = regular_module(a)
+    points = enumerate_irr(a).points
     for seed in range(10):
         want = {"regular": (a.dim, chain_bound(reg, seed))}
-        for pt in enumerate_irr(a, seed).points:
+        for pt in points:
             want[f"simple#{pt.id}"] = (pt.rep.n, chain_bound(pt.rep, seed))
         for module, (dim, bound) in want.items():
             code, out = run(["chain-bound", "--in", str(alg), "--seed", str(seed), "--module", module, "--format", "structured"])
@@ -205,7 +206,7 @@ def test_bad_blocks_break_the_layer_checks(tmp_path, monkeypatch, case):
     with pytest.raises(AssertionError, match=message):
         regular_length(a)
     with pytest.raises(AssertionError, match=message):
-        sufficiency_check(a, ProductFamily(a, ()), 0)
+        sufficiency_check(a, ProductFamily(a, ()))
     alg = tmp_path / "a.alg"
     alg.write_text(f"preset: {expr}\n")
     code, out = run(["chain-bound", "--in", str(alg), "--format", "structured"])

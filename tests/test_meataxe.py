@@ -247,7 +247,7 @@ def test_radical_nilpotent_and_quotient_semiprimitive():
             )
             steps += 1
         assert power.dim == 0, a.name
-        assert is_semiprimitive(a, rad, 0), a.name
+        assert is_semiprimitive(a, rad), a.name
         if not rad.is_zero:
             q, _ = quotient_algebra(a, rad)
             assert jacobson_radical(q, 0).is_zero, a.name
@@ -258,7 +258,7 @@ def test_semiprimitive_rejects_radical_piece():
     rad = jacobson_radical(a, 0)
     assert rad.dim == 2
     smaller = Ideal(a, Subspace.from_rows([[0, 0, 1]], 2), "two-sided")
-    assert not is_semiprimitive(a, smaller, 0)
+    assert not is_semiprimitive(a, smaller)
 
 
 def test_split_deterministic_under_seed():

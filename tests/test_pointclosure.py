@@ -280,6 +280,21 @@ def test_canonical_closed_part_is_union_of_members_inside():
             assert pair.c == want and not pair.c & pair.f
 
 
+def test_make_pair_does_not_depend_on_the_family_order(monkeypatch):
+    # The finite family is scanned in set order; sorted and reversed scans
+    # give the same canonical pair for every set, on every small topology.
+    for n in range(5):
+        for fam in all_topologies(n):
+            space = FiniteSpace(tuple(range(n)), fam)
+            ordered = sorted(fam, key=lambda c: (len(c), sorted(c)))
+            inputs = [(c, frozenset(i for i in range(n) if m >> i & 1)) for c in ordered for m in range(2**n)]
+            want = [make_pair(space, c, f) for c, f in inputs]
+            for order in (ordered, ordered[::-1]):
+                monkeypatch.setattr(FiniteSpace, "family", lambda self, order=order: order)
+                assert [make_pair(space, c, f) for c, f in inputs] == want, (n, order)
+            monkeypatch.undo()
+
+
 def test_symbolic_point_closure_refuses_above_cap():
     wm = weyl_model(FINITE_POINT_CAP + 1)
     with pytest.raises(TopologyError, match="capped"):

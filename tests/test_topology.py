@@ -25,36 +25,34 @@ from test_theory_oracles import closed_sets_oracle
 
 
 def test_enumerate_field_one_point():
-    sp = enumerate_irr(matrix_algebra(1, 5), 0)
+    sp = enumerate_irr(matrix_algebra(1, 5))
     assert len(sp.points) == 1 and sp.points[0].dim == 1
 
 
 def test_enumerate_m2_one_point():
-    sp = enumerate_irr(matrix_algebra(2, 2), 0)
+    sp = enumerate_irr(matrix_algebra(2, 2))
     assert len(sp.points) == 1 and sp.points[0].dim == 2
     assert sp.points[0].ann.is_zero
 
 
 def test_enumerate_ut2_two_points():
-    sp = enumerate_irr(upper_triangular(2, 2), 0)
+    sp = enumerate_irr(upper_triangular(2, 2))
     assert [pt.dim for pt in sp.points] == [1, 1]
     assert sp.points[0].ann.subspace != sp.points[1].ann.subspace
 
 
-def test_enumeration_is_stable_across_seeds():
+def test_enumeration_is_a_function_of_the_algebra():
+    # Two listings agree point for point, representatives included.
     for a in gallery():
-        base = enumerate_irr(a, 0)
-        for seed in (1, 2):
-            again = enumerate_irr(a, seed)
-            assert [pt.dim for pt in again.points] == [pt.dim for pt in base.points]
-            anns0 = sorted(pt.ann.subspace.key() for pt in base.points)
-            anns1 = sorted(pt.ann.subspace.key() for pt in again.points)
-            assert anns0 == anns1
+        base, again = enumerate_irr(a), enumerate_irr(a)
+        assert base.points == again.points, a.name
+        for pt, twin in zip(base.points, again.points):
+            assert (pt.rep.action == twin.rep.action).all(), (a.name, pt.id)
 
 
 def test_vanishing_set_extremes():
     a = upper_triangular(2, 2)
-    sp = enumerate_irr(a, 0)
+    sp = enumerate_irr(a)
     zero = Ideal(a, Subspace.zero(3, 2), "two-sided")
     whole = Ideal(a, Subspace.full(3, 2), "two-sided")
     assert vanishing_set(sp, zero).point_ids == sp.all_ids()
@@ -63,7 +61,7 @@ def test_vanishing_set_extremes():
 
 def test_vanishing_set_ut2_example():
     a = upper_triangular(2, 2)
-    sp = enumerate_irr(a, 0)
+    sp = enumerate_irr(a)
     i = Ideal(a, Subspace.from_rows([[0, 1, 0], [0, 0, 1]], 2), "two-sided")
     z = vanishing_set(sp, i)
     # Exactly the point annihilated by span{e12, e22}.
@@ -73,13 +71,13 @@ def test_vanishing_set_ut2_example():
 
 
 def test_zariski_family_one_point_space():
-    sp = enumerate_irr(matrix_algebra(1, 2), 0)
+    sp = enumerate_irr(matrix_algebra(1, 2))
     fam = zariski_closed_family(sp)
     assert sorted(len(ids) for ids in fam) == [0, 1]
 
 
 def test_zariski_family_ut2_discrete():
-    sp = enumerate_irr(upper_triangular(2, 2), 0)
+    sp = enumerate_irr(upper_triangular(2, 2))
     fam = zariski_closed_family(sp)
     assert set(fam) == {
         frozenset(),
@@ -90,14 +88,14 @@ def test_zariski_family_ut2_discrete():
 
 
 def test_zariski_family_simple_algebra_trivial():
-    sp = enumerate_irr(matrix_algebra(2, 2), 0)
+    sp = enumerate_irr(matrix_algebra(2, 2))
     fam = zariski_closed_family(sp)
     assert fam == {frozenset(): 4, frozenset({0}): 0}
 
 
 def test_vanishing_inclusion_reversing_and_strict():
     for a in gallery():
-        sp = enumerate_irr(a, 0)
+        sp = enumerate_irr(a)
         items = list(closed_sets_oracle(sp).items())
         for (s1, v1), (s2, v2) in itertools.product(items, repeat=2):
             if s2.contains_space(s1):
@@ -107,26 +105,26 @@ def test_vanishing_inclusion_reversing_and_strict():
 
 
 def test_refined_closure_extremes():
-    sp = enumerate_irr(upper_triangular(2, 2), 0)
-    assert refined_closure(sp, frozenset(), 0) == frozenset()
-    assert refined_closure(sp, sp.all_ids(), 0) == sp.all_ids()
+    sp = enumerate_irr(upper_triangular(2, 2))
+    assert refined_closure(sp, frozenset()) == frozenset()
+    assert refined_closure(sp, sp.all_ids()) == sp.all_ids()
 
 
 def test_refined_closure_trivial_on_presets():
     for a in gallery():
-        sp = enumerate_irr(a, 0)
+        sp = enumerate_irr(a)
         n = len(sp.points)
         for mask in range(2**n):
             ids = frozenset(i for i in range(n) if mask >> i & 1)
-            assert refined_closure(sp, ids, 0) == ids, a.name
+            assert refined_closure(sp, ids) == ids, a.name
 
 
 def test_refined_closure_is_closure_operator():
     for a in [upper_triangular(2, 2), commutative_split(3, 2)]:
-        sp = enumerate_irr(a, 0)
+        sp = enumerate_irr(a)
         n = len(sp.points)
         subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2**n)]
-        cl = {s: refined_closure(sp, s, 0) for s in subsets}
+        cl = {s: refined_closure(sp, s) for s in subsets}
         for s in subsets:
             assert s <= cl[s]
             assert cl[cl[s]] == cl[s]
@@ -137,59 +135,53 @@ def test_refined_closure_is_closure_operator():
 
 def test_every_vanishing_set_is_refined_closed():
     for a in gallery():
-        sp = enumerate_irr(a, 0)
+        sp = enumerate_irr(a)
         for ids in zariski_closed_family(sp):
-            assert refined_closure(sp, ids, 0) == ids, a.name
+            assert refined_closure(sp, ids) == ids, a.name
 
 
 def test_closed_form_whole_space():
     # Semiprimitive algebra: the canonical ideal for the full space is zero.
-    sp = enumerate_irr(matrix_algebra(2, 2), 0)
-    rep = verify_closed_form(sp, sp.all_ids(), 0)
-    assert rep.found and rep.ideal_subspace.dim == 0
-    assert rep.v_points == sp.all_ids() and rep.finite_part == frozenset()
+    sp = enumerate_irr(matrix_algebra(2, 2))
+    rep = verify_closed_form(sp, sp.all_ids())
+    assert rep.selection == sp.all_ids() and rep.ideal_subspace.dim == 0
     # Non-semiprimitive algebra: the canonical ideal is the radical.
-    sp2 = enumerate_irr(upper_triangular(2, 2), 0)
-    rep2 = verify_closed_form(sp2, sp2.all_ids(), 0)
-    assert rep2.found and rep2.v_points == sp2.all_ids()
+    sp2 = enumerate_irr(upper_triangular(2, 2))
+    rep2 = verify_closed_form(sp2, sp2.all_ids())
+    assert rep2.selection == sp2.all_ids()
     assert rep2.ideal_subspace == Subspace.from_rows([[0, 1, 0]], 2)
 
 
 def test_closed_form_empty_set():
-    sp = enumerate_irr(upper_triangular(2, 2), 0)
-    rep = verify_closed_form(sp, frozenset(), 0)
-    assert rep.found and rep.ideal_subspace.is_full
-    assert rep.v_points == frozenset() and rep.finite_part == frozenset()
+    sp = enumerate_irr(upper_triangular(2, 2))
+    rep = verify_closed_form(sp, frozenset())
+    assert rep.selection == frozenset() and rep.ideal_subspace.is_full
 
 
 def test_closed_form_every_subset_over_ut2():
     a = upper_triangular(2, 2)
-    sp = enumerate_irr(a, 0)
+    sp = enumerate_irr(a)
     for mask in range(4):
         ids = frozenset(i for i in range(2) if mask >> i & 1)
-        rep = verify_closed_form(sp, ids, 0)
-        assert rep.is_refined_closed and rep.found
-        assert rep.v_points | rep.finite_part == ids
-        assert rep.v_points & rep.finite_part == frozenset()
-        assert rep.ideal_semiprimitive
-        assert is_semiprimitive(a, Ideal(a, rep.ideal_subspace, "two-sided"), 0)
-        # Minimality prefers the largest vanishing set inside the selection.
-        assert rep.finite_part == frozenset()
+        rep = verify_closed_form(sp, ids)
+        ideal = Ideal(a, rep.ideal_subspace, "two-sided")
+        assert rep.selection == ids
+        # The selection is the whole vanishing set of the ideal, so the
+        # finite part is empty.
+        assert vanishing_set(sp, ideal).point_ids == ids
+        assert is_semiprimitive(a, ideal)
 
 
-def test_closed_form_reports_non_closed_sets():
-    # All preset spaces are discrete, so fabricate non-closedness by asking
-    # for a closure first: every subset is closed, hence this checks the
-    # happy path flag instead.
-    sp = enumerate_irr(commutative_split(3, 2), 0)
-    rep = verify_closed_form(sp, {1}, 0)
-    assert rep.is_refined_closed
+def test_closed_form_of_one_point_is_its_annihilator():
+    sp = enumerate_irr(commutative_split(3, 2))
+    rep = verify_closed_form(sp, {1})
+    assert rep.selection == {1} and rep.ideal_subspace == sp.points[1].ann.subspace
 
 
 def test_identify_rejects_unknown():
     a = upper_triangular(2, 2)
-    sp = enumerate_irr(a, 0)
-    other = enumerate_irr(matrix_algebra(2, 2), 0)
+    sp = enumerate_irr(a)
+    other = enumerate_irr(matrix_algebra(2, 2))
     with pytest.raises(ValueError):
         sp.identify(other.points[0].rep)
 
@@ -198,7 +190,7 @@ def test_memoized_lattice_matches_worklist_oracle():
     # The closed family, read from one checked meet, equals the lattice a
     # worklist rediscovers by intersecting meets with every annihilator.
     for a in gallery():
-        sp = enumerate_irr(a, 0)
+        sp = enumerate_irr(a)
         want = {ids: meet.dim for meet, ids in closed_sets_oracle(sp).items()}
         assert zariski_closed_family(sp) == want, a.name
 
@@ -207,7 +199,7 @@ def test_memoized_meets_satisfy_chinese_remainder():
     # Distinct simple annihilators are comaximal maximal ideals, so each
     # one a meet takes in lowers its dimension by its full codimension.
     for a in gallery():
-        sp = enumerate_irr(a, 0)
+        sp = enumerate_irr(a)
         family = zariski_closed_family(sp)
         d = a.dim
         for mask in range(2 ** len(sp)):
