@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ALGEBRA_DIM_CAP, Algebra, check_dim
-from .linalg import PRIME_BOUND, is_prime
+from .embeddings import ProductFamily
+from .linalg import PRIME_BOUND, Subspace, is_prime
 from .modules import ModuleRep, check_module, regular_module, spin, sub_quotient
 from .presets import PresetArgumentError, preset
 
@@ -588,23 +589,34 @@ def load_family_algebra(doc: FamilyDoc, base_dir: str) -> Algebra:
     return build_algebra(adoc)
 
 
-def resolve_factors(a: Algebra, specs) -> list[ModuleRep]:
-    """Instantiate factor specs against an algebra; simple#k follows the
+def resolve_factors(a: Algebra, specs) -> ProductFamily:
+    """The family of factor specs over an algebra; simple#k follows the
     enumeration order of the irreducible-class listing. An explicit factor
-    must satisfy the module axioms (``check_module``)."""
+    must satisfy the module axioms (``check_module``). Equal specs resolve
+    to one module object.
+
+    Construction certifies two kinds of annihilator, which the family
+    carries: the regular module's is zero, as 1 acts as the identity, and
+    simple#k's is its class annihilator (``semisimple_blocks``). The family
+    computes those of quotient and explicit factors, with the ideal
+    self-check, once each and only when asked."""
     from .topology import enumerate_irr
 
-    out: list[ModuleRep] = []
+    built: dict[FactorSpec, tuple[ModuleRep, Subspace | None]] = {}
     space = None
     for k, spec in enumerate(specs):
+        if spec in built:
+            continue
+        ann = None
         if spec.kind == "regular":
-            m = regular_module(a)
+            m, ann = regular_module(a), Subspace.zero(a.dim, a.p)
         elif spec.kind == "simple":
             if space is None:
                 space = enumerate_irr(a)
             if spec.index >= len(space.points):
                 raise ValueError(f"simple#{spec.index} out of range: only {len(space.points)} classes")
-            m = space.points[spec.index].rep
+            pt = space.points[spec.index]
+            m, ann = pt.rep, pt.ann.subspace
         elif spec.kind == "quotient":
             reg = regular_module(a)
             gens = [np.array(g, dtype=np.int64) for g in spec.gens]
@@ -627,5 +639,6 @@ def resolve_factors(a: Algebra, specs) -> list[ModuleRep]:
             raise ValueError(f"unknown factor kind {spec.kind!r}")
         if spec.label:
             m = m.relabel(spec.label)
-        out.append(m)
-    return out
+        built[spec] = (m, ann)
+    factors = [built[spec] for spec in specs]
+    return ProductFamily(a, tuple(m for m, _ in factors), tuple(ann for _, ann in factors))

@@ -12,8 +12,9 @@ reaches zero. Both return a verified witness or an explicit obstruction.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,14 +57,22 @@ RANK_CHUNK_ENTRIES = 1 << 16
 @dataclass(frozen=True)
 class ProductFamily:
     """An ordered finite family of modules over one algebra. Factors may
-    repeat and need not be simple."""
+    repeat and need not be simple.
+
+    ``known_annihilators`` holds, one entry per factor, the annihilator of
+    each factor that its construction certifies (``docs.resolve_factors``)
+    and None for the others; it may be left empty. The rest are computed on
+    first use of ``annihilators``."""
 
     algebra: Algebra
     factors: tuple[ModuleRep, ...]
+    known_annihilators: tuple[Subspace | None, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if any(f.algebra is not self.algebra for f in self.factors):
             raise ValueError("all factors must live over the family's algebra")
+        if self.known_annihilators and len(self.known_annihilators) != len(self.factors):
+            raise ValueError("one known annihilator (or None) per factor required")
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -75,16 +84,38 @@ class ProductFamily:
     def state_count(self) -> int:
         return self.algebra.p ** self.total_dim
 
+    @functools.cached_property
+    def annihilators(self) -> tuple[Subspace, ...]:
+        """The annihilator of each factor: the known ones as given, the
+        others with the ideal self-check (``annihilator``), once per
+        distinct action."""
+        by_action: dict[bytes, Subspace] = {}
+        out = []
+        for f, known in itertools.zip_longest(self.factors, self.known_annihilators):
+            if known is None:
+                key = f.action.tobytes()
+                if key not in by_action:
+                    by_action[key] = annihilator(self.algebra, f).subspace
+                known = by_action[key]
+            out.append(known)
+        return tuple(out)
 
-def _images(fam: ProductFamily, comps, count: int) -> np.ndarray:
-    """Images of `count` elements of the product under the algebra basis, as
-    an (count, total_dim, d) stack: column i of matrix k holds b_i applied to
-    element k, factor by factor. comps holds one (count, f.n) array per
-    factor."""
+    def components(self, coords: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Elements of the product, given by their concatenated coordinates
+        along the last axis, split there into one component per factor."""
+        ends = np.cumsum([0] + [f.n for f in self.factors])
+        return tuple(coords[..., i:j] for i, j in zip(ends, ends[1:]))
+
+
+def _images(fam: ProductFamily, coords: np.ndarray) -> np.ndarray:
+    """Images of elements of the product under the algebra basis, as a
+    (count, total_dim, d) stack: column i of matrix k holds b_i applied to
+    element k, factor by factor. coords holds the elements' concatenated
+    coordinates, one row each."""
     a = fam.algebra
-    parts = [np.einsum("irl,kl->kri", f.action, c) for f, c in zip(fam.factors, comps)]
+    parts = [np.einsum("irl,kl->kri", f.action, c) for f, c in zip(fam.factors, fam.components(coords))]
     if not parts:
-        return np.zeros((count, 0, a.dim), dtype=np.int64)
+        return np.zeros((len(coords), 0, a.dim), dtype=np.int64)
     return np.concatenate(parts, axis=1) % a.p
 
 
@@ -95,8 +126,11 @@ def ann_of_vector(fam: ProductFamily, components) -> Ideal:
     if len(components) != len(fam.factors):
         raise ValueError("one component per factor required")
     a = fam.algebra
-    comps = [as_vector(v, a.p).reshape(1, f.n) for f, v in zip(fam.factors, components)]
-    return Ideal(a, kernel(_images(fam, comps, 1)[0], a.p), "left")
+    comps = [as_vector(v, a.p) for v in components]
+    if any(len(c) != f.n for c, f in zip(comps, fam.factors)):
+        raise ValueError("each component must have its factor's dimension")
+    row = np.concatenate([np.zeros(0, dtype=np.int64), *comps])
+    return Ideal(a, kernel(_images(fam, row[None])[0], a.p), "left")
 
 
 def _meet_all(subspaces, d: int, p: int) -> Subspace:
@@ -108,19 +142,6 @@ def _meet_all(subspaces, d: int, p: int) -> Subspace:
         return Subspace.zero(d, p)
     checks = [s.check_matrix() for s in subspaces]
     return kernel(np.vstack([np.zeros((0, d), dtype=np.int64)] + checks), p)
-
-
-def _factor_annihilators(a: Algebra, factors) -> list[Subspace]:
-    """The annihilator of each factor. Factors with equal actions share one
-    annihilator, computed and checked once."""
-    by_action: dict[bytes, Subspace] = {}
-    out = []
-    for f in factors:
-        key = f.action.tobytes()
-        if key not in by_action:
-            by_action[key] = annihilator(a, f).subspace
-        out.append(by_action[key])
-    return out
 
 
 @dataclass(frozen=True)
@@ -143,15 +164,17 @@ class EmbeddingWitness:
         )
 
 
-def _witness(fam: ProductFamily, components, target: Ideal) -> EmbeddingWitness:
+def _witness(fam: ProductFamily, components, target: Ideal, images: np.ndarray | None = None) -> EmbeddingWitness:
     """The witness of an element x of the product, with its orbit dimension
     from rank-nullity: every factor is unital (regular, simple and quotient
     factors by construction, explicit ones by ``check_module`` at load), so
     A.x is the span of the images b_i.x, the image of a -> a.x, whose
-    kernel is ann(x)."""
-    comps = tuple(as_vector(v, fam.algebra.p) for v in components)
-    ann = ann_of_vector(fam, comps)
-    return EmbeddingWitness(fam, comps, ann, target, fam.algebra.dim - ann.dim)
+    kernel is ann(x). ``images`` is x's (total_dim, d) image matrix when
+    the caller has it already."""
+    a = fam.algebra
+    comps = tuple(as_vector(v, a.p) for v in components)
+    ann = ann_of_vector(fam, comps) if images is None else Ideal(a, kernel(images, a.p), "left")
+    return EmbeddingWitness(fam, comps, ann, target, a.dim - ann.dim)
 
 
 @dataclass(frozen=True)
@@ -174,7 +197,7 @@ def deletion_stability(fam: ProductFamily, target: Ideal, t: int) -> DeletionRep
     if t >= len(fam.factors) and len(fam.factors) > 0:
         raise ValueError("deletion budget must be smaller than the factor count")
     a = fam.algebra
-    anns = _factor_annihilators(a, fam.factors)
+    anns = fam.annihilators
     meets: dict[frozenset[Subspace], Subspace] = {}  # keyed on the distinct kept annihilators
     failures = []
     checked = 0
@@ -219,40 +242,50 @@ def find_embedding(
     Once the scan starts the target is ann(product), which every ann(x)
     contains, so ann(x) equals it exactly when the images of x under the
     algebra basis have rank d - dim target. Candidates are ranked in chunks,
-    in scan order: the first chunk holds one candidate and each next one
-    twice as many, up to RANK_CHUNK_ENTRIES stacked entries, so a scan that
-    succeeds early draws at most about twice the candidates it needs."""
+    in scan order, each chunk twice the one before up to RANK_CHUNK_ENTRIES
+    stacked entries. An exhaustive scan decodes a chunk's state indices to
+    coordinates in one step and starts at about RANK_CHUNK_ENTRIES // 16
+    entries, so a witness in that first chunk costs one rank test. A sampled
+    scan starts at one candidate, since every candidate costs its draws: it
+    draws at most about twice the candidates it needs."""
     a = fam.algebra
-    prod_ann = _meet_all(dict.fromkeys(_factor_annihilators(a, fam.factors)), a.dim, a.p)
+    prod_ann = _meet_all(dict.fromkeys(fam.annihilators), a.dim, a.p)
     if not prod_ann.contains_space(target.subspace):
         raise ValueError("target ideal must annihilate the whole product")
     if prod_ann != target.subspace:
         return SearchOutcome("none", None, 0, "ann(product) strictly contains the target")
     exhaustive = fam.state_count() <= EXHAUSTIVE_CAP
+    entries = max(1, fam.total_dim * a.dim)  # per candidate
+    largest = max(1, RANK_CHUNK_ENTRIES // entries)
     if exhaustive:
-        # itertools.product order: the first factor varies slowest.
-        tables = [np.array(list(all_vectors(f.n, a.p))).reshape(a.p**f.n, f.n) for f in fam.factors]
-        total = fam.state_count()
+        # itertools.product order over the factors, the first varying
+        # slowest, and all_vectors order in each, the first coordinate
+        # varying fastest: coordinate c of a factor that r coordinates
+        # follow is the base-p digit of place p^(r + c) of the state index.
+        place, rest = [], fam.total_dim
+        for f in fam.factors:
+            rest -= f.n
+            place += [a.p ** (rest + c) for c in range(f.n)]
+        place = np.array(place, dtype=np.int64)
+        total, size = fam.state_count(), max(1, RANK_CHUNK_ENTRIES // 16 // entries)
     else:
         rng = np.random.default_rng(seed)
-        total = budget
+        total, size = budget, 1
     want = a.dim - target.dim
-    largest = max(1, RANK_CHUNK_ENTRIES // max(1, fam.total_dim * a.dim))
-    start, size = 0, 1
+    start = 0
     while start < total:
         count = min(size, total - start)
         if exhaustive:
-            index, stride, comps = np.arange(start, start + count), total, []
-            for t in tables:
-                stride //= len(t)
-                comps.append(t[(index // stride) % len(t)])
+            coords = np.arange(start, start + count)[:, None] // place % a.p
         else:
-            draws = [[rng.integers(0, a.p, size=f.n) for f in fam.factors] for _ in range(count)]
-            comps = [np.array([d[j] for d in draws]).reshape(count, f.n) for j, f in enumerate(fam.factors)]
-        hits = np.flatnonzero(ranks(_images(fam, comps, count), a.p) == want)
+            coords = np.array([
+                np.concatenate([rng.integers(0, a.p, size=f.n) for f in fam.factors]) for _ in range(count)
+            ])
+        images = _images(fam, coords)
+        hits = np.flatnonzero(ranks(images, a.p) == want)
         if hits.size:
             k = int(hits[0])
-            w = _witness(fam, [c[k] for c in comps], target)
+            w = _witness(fam, fam.components(coords[k]), target, images[k])
             if not w.valid:
                 raise AssertionError("search witness has the rank of the target but another annihilator")
             return SearchOutcome("found", w, start + k + 1)
@@ -583,7 +616,7 @@ def sufficiency_check(a: Algebra, fam: ProductFamily) -> SufficiencyReport:
     Loewy layers plus two, and the algebra is simple iff its radical is zero
     and A/J has one block, both read off the same blocks of A/J
     (``semisimple_blocks``)."""
-    faithful = sum(1 for s in _factor_annihilators(a, fam.factors) if s.is_zero)
+    faithful = sum(1 for s in fam.annihilators if s.is_zero)
     blocks = semisimple_blocks(a)
     bound = regular_length(a, blocks) + 2
     simple = blocks.radical.is_zero and len(blocks.classes) == 1

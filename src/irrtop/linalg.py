@@ -187,7 +187,20 @@ def kernel(m: np.ndarray, p: int) -> "Subspace":
     # elsewhere, so in the original order its other entries lie right of its
     # 1: the vectors, taken in reverse, are already the kernel's RREF.
     r, rank, pivots = rref(m[:, ::-1], p)
-    free = [c for c in range(ncols) if c not in pivots]
+    pset = set(pivots)
+    free = [c for c in range(ncols) if c not in pset]
+    if len(free) * ncols < SMALL_RREF:
+        # A basis below SMALL_RREF cells is built on Python lists, as rref
+        # works on small matrices, with one array conversion.
+        r, rows = r[:rank].tolist(), []
+        for f in reversed(free):
+            v = [0] * ncols
+            v[f] = 1
+            for row, c in zip(r, pivots):
+                v[c] = -row[f] % p
+            rows.append(v[::-1])
+        basis = np.array(rows, dtype=np.int64).reshape(len(free), ncols)
+        return Subspace(p, ncols, basis, tuple(ncols - 1 - f for f in reversed(free)))
     rows = np.zeros((len(free), ncols), dtype=np.int64)
     rows[np.arange(len(free)), free] = 1
     rows[:, pivots] = (-r[:rank, free]).T % p

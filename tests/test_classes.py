@@ -93,6 +93,25 @@ def test_classes_match_the_meataxe_on_random_algebras(drawn):
     assert pairs(semisimple_classes(a)) == oracle_pairs(a, seed)
 
 
+@settings(max_examples=40, deadline=None)
+@given(rebased_presets())
+def test_the_class_annihilators_meet_in_the_radical(drawn):
+    """The meet that ``semisimple_blocks`` no longer forms: the idempotent
+    checks imply that the class annihilators meet in J, with the Chinese
+    remainder identity, which ``annihilator_meet`` checks."""
+    a, _ = drawn
+    blocks = meataxe.semisimple_blocks(a)
+    assert meataxe.annihilator_meet(a, [ann.subspace for _, ann in blocks.classes]) == blocks.radical.subspace
+
+
+def test_the_class_listing_forms_no_meet(monkeypatch):
+    calls = []
+    monkeypatch.setattr(meataxe, "annihilator_meet", lambda *args: calls.append(args))
+    for expr in LARGE_FIELDS_AND_BLOCKS:
+        assert meataxe.semisimple_blocks(_preset(expr)).classes
+    assert not calls
+
+
 REPRESENTED = [
     "upper_triangular(3, 2)",
     "group_algebra(C21, 2)",

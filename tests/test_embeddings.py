@@ -4,12 +4,17 @@ chain constructions with their traces, and the descent bound against the
 lattice oracle."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrtop import embeddings, meataxe, modules
 from irrtop.algebra import Algebra, Ideal
+from irrtop.cli import run
+from irrtop.docs import FactorSpec, resolve_factors
 from irrtop.embeddings import (
     EXHAUSTIVE_CAP,
     EmbeddingWitness,
@@ -27,7 +32,7 @@ from irrtop.embeddings import (
 from irrtop.linalg import Subspace, all_vectors
 from irrtop.meataxe import composition_factors, group_factors, jacobson_radical
 from irrtop.modules import annihilator, direct_sum, regular_module, spin, zero_module
-from irrtop.presets import gallery, matrix_algebra, truncated_polynomial, upper_triangular
+from irrtop.presets import commutative_split, gallery, matrix_algebra, truncated_polynomial, upper_triangular
 from irrtop.topology import enumerate_irr
 
 
@@ -393,9 +398,10 @@ def test_sampled_search_matches_the_per_candidate_scan():
     assert assert_search_matches_oracle(nat, zero_ideal(m2), 0, budget=40).status == "unknown"
 
 
-# Entries per rank chunk: the module's own, one candidate per chunk, and a cap
-# of five candidates on the sampled family below (15 rows, dimension 6).
-CHUNK_ENTRIES = [embeddings.RANK_CHUNK_ENTRIES, 1, 5 * 15 * 6]
+# Entries per rank chunk: the module's own, the exhaustive scan's default
+# first chunk as the cap, one candidate per chunk, and a cap of five
+# candidates on the sampled family below (15 rows, dimension 6).
+CHUNK_ENTRIES = [embeddings.RANK_CHUNK_ENTRIES, embeddings.RANK_CHUNK_ENTRIES // 16, 1, 5 * 15 * 6]
 
 
 @pytest.mark.parametrize("entries", CHUNK_ENTRIES)
@@ -413,21 +419,49 @@ def test_search_matches_the_per_candidate_scan_across_chunk_boundaries(monkeypat
     # a partial chunk; one less ends the scan just before it.
     fam = ProductFamily(a, (zero_module(a),) + tuple(simples) * 3 + (regular_module(a),))
     assert fam.state_count() > EXHAUSTIVE_CAP
-    for seed, tried in [(3, 17), (1, 7)]:
+    # Seed 0 finds it at candidate 1, so a budget of 0 draws nothing.
+    for seed, tried in [(3, 17), (1, 7), (0, 1)]:
         assert assert_search_matches_oracle(fam, zero_ideal(a), seed).tried == tried
         assert assert_search_matches_oracle(fam, zero_ideal(a), seed, budget=tried).status == "found"
         assert assert_search_matches_oracle(fam, zero_ideal(a), seed, budget=tried - 1).status == "unknown"
+    # Exhaustive, 256 states: the eight 1-dimensional simples of
+    # commutative_split(8, 2) need every component nonzero, so the witness is
+    # the last state, the last candidate of a partial chunk at the default.
+    c8 = commutative_split(8, 2)
+    fam = ProductFamily(c8, tuple(pt.rep for pt in enumerate_irr(c8).points))
+    assert assert_search_matches_oracle(fam, zero_ideal(c8)).tried == fam.state_count() == 256
     # The empty family and families of zero modules: one candidate, passing.
+    # Candidate 1 of an exhaustive scan is the zero element, so these are the
+    # only exhaustive scans that end there.
     whole = Ideal(a, Subspace.full(a.dim, a.p), "two-sided")
     for factors in [(), (zero_module(a),), (zero_module(a), zero_module(a))]:
         assert assert_search_matches_oracle(ProductFamily(a, factors), whole).tried == 1
 
 
+def test_a_witness_in_the_first_chunk_costs_one_rank_test(monkeypatch):
+    """The first exhaustive chunk holds about RANK_CHUNK_ENTRIES // 16
+    entries, and the witness's annihilator comes from its own images: one
+    ``ranks`` call, and no ``ann_of_vector``."""
+    calls = []
+    ranks = embeddings.ranks
+    monkeypatch.setattr(embeddings, "ranks", lambda stack, p: calls.append(len(stack)) or ranks(stack, p))
+    monkeypatch.setattr(embeddings, "ann_of_vector", lambda *args: calls.append("ann_of_vector"))
+    a, s1, s2, reg = ut2_setup()
+    for factors in [(s1, s2, reg), (reg,) * 3, (s1, reg, reg)]:
+        fam = ProductFamily(a, factors)
+        calls.clear()
+        got = find_embedding(fam, zero_ideal(a), 0)
+        first = embeddings.RANK_CHUNK_ENTRIES // 16 // (fam.total_dim * a.dim)
+        assert got.status == "found" and 1 < got.tried <= first
+        assert calls == [min(first, fam.state_count())]
+
+
 def test_equal_factors_share_one_checked_annihilator(monkeypatch):
-    """17 copies of one module cost one annihilator (with its ideal
-    self-check) in the search, the stability check and the sufficiency
-    check; the sufficiency check reads 'simple' off the blocks of A/J, with
-    no annihilator of its own."""
+    """A family built in code computes its annihilators once, on first use,
+    one (with its ideal self-check) per distinct action: 17 copies of one
+    module cost one annihilator across the search, the stability check and
+    the sufficiency check; the sufficiency check reads 'simple' off the
+    blocks of A/J, with no annihilator of its own."""
     calls = []
 
     def counted(a, m):
@@ -444,7 +478,106 @@ def test_equal_factors_share_one_checked_annihilator(monkeypatch):
         find_embedding(fam, zero_ideal(a), 0)
         deletion_stability(fam, zero_ideal(a), 1)
         sufficiency_check(a, fam)
-        assert len(calls) == 3 * distinct, calls
+        assert len(calls) == distinct, calls
+    # Known annihilators are taken as given; the others are computed.
+    known = ProductFamily(a, (s1, reg, s2), (None, Subspace.zero(a.dim, a.p), None))
+    calls.clear()
+    assert known.annihilators == tuple(annihilator(a, f).subspace for f in known.factors)
+    assert calls == [1, 1]
+    with pytest.raises(ValueError, match="one known annihilator"):
+        ProductFamily(a, (s1, reg), (None,))
+
+
+# --- annihilators by construction --------------------------------------------
+
+GALLERY = gallery()
+
+
+@st.composite
+def resolved_families(draw):
+    """A gallery algebra and up to four factor specs of every kind: regular,
+    simple#k, a quotient of the regular module by random generators, and
+    explicit factors copied entry by entry from a regular, simple or
+    quotient module; specs may repeat."""
+    a = draw(st.sampled_from(GALLERY))
+    points = enumerate_irr(a).points
+    sources = [regular_module(a)] + [pt.rep for pt in points]
+
+    def quotient():
+        gens = draw(st.lists(st.lists(st.integers(0, a.p - 1), min_size=a.dim, max_size=a.dim), min_size=1, max_size=2))
+        return FactorSpec("quotient", gens=tuple(map(tuple, gens)))
+
+    specs = []
+    for kind in draw(st.lists(st.sampled_from(["regular", "simple", "quotient", "explicit", "repeat"]), max_size=4)):
+        if kind == "repeat" and specs:
+            specs.append(draw(st.sampled_from(specs)))
+        elif kind == "simple":
+            specs.append(FactorSpec("simple", index=draw(st.integers(0, len(points) - 1))))
+        elif kind == "quotient":
+            specs.append(quotient())
+        elif kind == "explicit":
+            m = draw(st.sampled_from(sources))
+            if draw(st.booleans()):
+                m = resolve_factors(a, [quotient()]).factors[0]
+            entries = tuple((int(i), int(r), int(c), int(m.action[i, r, c])) for i, r, c in np.argwhere(m.action))
+            specs.append(FactorSpec("explicit", n=m.n, entries=entries))
+        else:
+            specs.append(FactorSpec("regular"))
+    return a, specs
+
+
+def outcome_key(outcome):
+    comps = None if outcome.witness is None else [c.tolist() for c in outcome.witness.components]
+    return outcome.status, outcome.tried, outcome.reason, comps
+
+
+@settings(max_examples=60, deadline=None)
+@given(resolved_families(), st.integers(0, 3))
+def test_carried_annihilators_match_the_computed_ones(drawn, seed):
+    """The annihilators a resolved family carries are those ``annihilator``
+    computes, and the search, the stability check and the sufficiency check
+    answer as on the same factors with every annihilator computed."""
+    a, specs = drawn
+    fam = resolve_factors(a, specs)
+    plain = ProductFamily(a, fam.factors)
+    assert fam.annihilators == tuple(annihilator(a, f).subspace for f in fam.factors)
+    assert plain.annihilators == fam.annihilators
+    prod = product_annihilator(plain)
+    for target in (zero_ideal(a), Ideal(a, prod, "two-sided")):
+        assert outcome_key(find_embedding(fam, target, seed, budget=20)) == outcome_key(
+            find_embedding(plain, target, seed, budget=20)
+        )
+        for t in range(min(2, len(specs))):
+            assert deletion_stability(fam, target, t) == deletion_stability(plain, target, t)
+    assert sufficiency_check(a, fam) == sufficiency_check(a, plain)
+
+
+@pytest.mark.parametrize("command", [["embed"], ["stability", "--t", "1"], ["sufficiency"]], ids=lambda c: c[0])
+def test_regular_and_simple_factors_take_no_annihilator(tmp_path, monkeypatch, command):
+    """Construction certifies the annihilators of regular and simple#k
+    factors, so these commands compute none; a quotient factor costs one."""
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("irrtop") and hasattr(mod, "annihilator"):
+            inner = mod.annihilator
+            monkeypatch.setattr(mod, "annihilator", lambda *args, inner=inner: calls.append(1) or inner(*args))
+    fam = tmp_path / "f.fam"
+    argv = command + ["--in", str(fam), "--format", "structured"]
+    head = "algebra: preset upper_triangular(2, 2)\n"
+    fam.write_text(head + "factor: simple#1\nfactor: regular\nfactor: simple#0\nfactor: regular\n")
+    code, out = run(argv)
+    assert code == 0 and not calls, out
+    fam.write_text(head + "factor: regular\nfactor: quotient 0 1 0\nfactor: quotient 0 1 0\n")
+    code, out = run(argv)
+    assert code == 0 and len(calls) == 1, out
+
+
+def test_equal_specs_resolve_to_one_module():
+    a = upper_triangular(2, 2)
+    specs = [FactorSpec("regular"), FactorSpec("simple", index=1)] * 3 + [FactorSpec("quotient", gens=((0, 1, 0),))] * 2
+    fam = resolve_factors(a, specs)
+    assert len({id(f) for f in fam.factors}) == 3
+    assert fam.known_annihilators[0].is_zero and fam.known_annihilators[-1] is None
 
 
 def test_constructions_never_spin_or_build_sums(monkeypatch):

@@ -3,7 +3,7 @@ row-space and kernel oracles."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrtop import linalg
@@ -286,3 +286,35 @@ def test_the_rref_paths_agree(mp):
             patch.setattr(linalg, "SMALL_RREF", small)
             r, rank, _ = rref(m, p)
         assert (r.tolist(), rank) == want
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A matrix of random rank with repeated and zero rows, at p in
+    {2, 3, 1009}, whose kernel basis has fewer or more than SMALL_RREF
+    cells."""
+    p = draw(st.sampled_from([2, 3, 1009]))
+    rows, cols = draw(st.integers(0, 70)), draw(st.integers(1, 60))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols)) % p
+    return np.vstack([m, np.zeros((rows // 3, cols), dtype=np.int64), m[: rows // 4]]), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+def test_the_kernel_paths_agree(mp):
+    """kernel's list path (a basis below SMALL_RREF cells) and its numpy
+    path give the same RREF basis, a basis of the null space."""
+    m, p = mp
+    got = []
+    for small in (10**9, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "SMALL_RREF", small)
+            got.append(kernel(m, p))
+    lists, sweep = got
+    assert lists == sweep and lists.pivots == sweep.pivots
+    assert lists.basis.dtype == np.int64 and lists.basis.shape == (lists.dim, m.shape[1])
+    assert not (m @ lists.basis.T % p).any()
+    assert lists.dim + rref(m, p)[1] == m.shape[1]
+    assert kernel(m, p) == lists
