@@ -47,7 +47,6 @@ from .meataxe import (
 )
 from .modules import annihilator, direct_sum, regular_module
 from .pointclosure import (
-    FINITE_POINT_CAP,
     FiniteSpace,
     TopologyError,
     all_topologies,
@@ -60,7 +59,6 @@ from .pointclosure import (
 )
 from .presets import gallery, upper_triangular
 from .topology import (
-    CLOSURE_POINT_CAP,
     enumerate_irr,
     refined_closure,
     vanishing_set,
@@ -252,8 +250,6 @@ def _cmd_refined_closure(args) -> Doc:
     a = _load_algebra(args.infile)
     space = enumerate_irr(a)
     ids = _parse_set(args.set or "")
-    if any(i >= len(space.points) for i in ids):
-        raise DomainError("point id out of range")
     result = Doc()
     result.add("input", _id_list(set(ids)))
     result.add("closure", _id_list(refined_closure(space, ids)))
@@ -276,79 +272,60 @@ def _id_list(ids) -> str:
     return " ".join(map(str, sorted(ids)))
 
 
-def _zariski_space(space, family) -> FiniteSpace:
-    """The Zariski topology as a finite space, built without ``make``:
-    ``point_closure`` validates it."""
-    return FiniteSpace(tuple(pt.id for pt in space.points), frozenset(family))
-
-
 def _cmd_point_closure(args) -> Doc:
     text = _read_input(args.infile)
     result = Doc()
-    if text.lstrip().startswith(docsmod.FORMAT_HEADER):
-        rep, diags = docsmod.parse_report(text)
-        if rep is None:
-            raise UsageError("report parse failed: " + "; ".join(str(d) for d in diags))
-        npts = _weyl_points_from_report(rep)
-        if npts is None:
-            raise UsageError("report does not describe a symbolic space")
-        space = weyl_model(npts)
-        result.add("space", "symbolic")
-        result.add("named_points", " ".join(space.points))
-        show = str
-    else:
-        irr = enumerate_irr(_algebra_from_text(text))
-        if len(irr.points) > FINITE_POINT_CAP:
-            raise TopologyError(f"finite point closure capped at {FINITE_POINT_CAP} points")
-        space = _zariski_space(irr, zariski_closed_family(irr))
+    if not text.lstrip().startswith(docsmod.FORMAT_HEADER):
+        # Every point set of an algebra's class space is Zariski-closed, so
+        # each is its own pair, with no finite part.
+        space = enumerate_irr(_algebra_from_text(text))
+        family = zariski_closed_family(space)
         result.add("space", "finite")
-        result.add("points", " ".join(map(str, space.points)))
-        show = _id_list
+        result.add("points", _id_list(space.all_ids()))
+        result.add("count", len(family))
+        for ids in family:
+            node = result.node("pair")
+            node.add("closed_part", _id_list(ids))
+            node.add("finite_part", "")
+        return result
+    rep, diags = docsmod.parse_report(text)
+    if rep is None:
+        raise UsageError("report parse failed: " + "; ".join(str(d) for d in diags))
+    npts = _weyl_points_from_report(rep)
+    if npts is None:
+        raise UsageError("report does not describe a symbolic space")
+    space = weyl_model(npts)
+    result.add("space", "symbolic")
+    result.add("named_points", " ".join(space.points))
     fam = point_closure(space)
     result.add("count", len(fam.pairs))
     for pair in fam.pairs:
         node = result.node("pair")
-        node.add("closed_part", show(pair.c))
+        node.add("closed_part", str(pair.c))
         node.add("finite_part", _id_list(pair.f))
     return result
 
 
 def _cmd_compare(args) -> Doc:
-    a = _load_algebra(args.infile)
-    space = enumerate_irr(a)
-    npts = len(space.points)
-    if npts > CLOSURE_POINT_CAP:
-        raise DomainError(f"compare enumerates subsets; capped at {CLOSURE_POINT_CAP} points")
-    family = zariski_closed_family(space)
-    zar = set(family)
-    pc = point_closure(_zariski_space(space, zar)).point_sets()
-    refined = zar  # every point set is refined-closed (see refined_closure)
-    powerset_count = 2**npts
-    discrete = len(pc) == powerset_count and len(refined) == powerset_count and len(zar) == powerset_count
-    all_equal = zar == pc == refined
+    # Every point set is Zariski-closed, so all three topologies are the
+    # power set: each set is its own vanishing set, refined-closed (see
+    # refined_closure) and, with no finite part, point-closure-closed.
+    family = zariski_closed_family(enumerate_irr(_load_algebra(args.infile)))
+    count = len(family)
     result = Doc()
-    result.add("zariski_count", len(zar))
-    result.add("point_closure_count", len(pc))
-    result.add("refined_count", len(refined))
-    result.add("all_equal", "true" if all_equal else "false")
-    result.add("discrete", "true" if discrete else "false")
-    if all_equal and discrete:
-        summary = f"zariski = refined = point-closure = discrete ({len(zar)} closed sets)"
-    elif all_equal:
-        summary = f"zariski = refined = point-closure ({len(zar)} closed sets)"
-    else:
-        summary = "topologies differ"
-    result.add("summary", summary)
-    everything = sorted(zar | pc | refined, key=lambda s: (len(s), sorted(s)))
-    for ids in everything:
+    result.add("zariski_count", count)
+    result.add("point_closure_count", count)
+    result.add("refined_count", count)
+    result.add("all_equal", "true")
+    result.add("discrete", "true")
+    result.add("summary", f"zariski = refined = point-closure = discrete ({count} closed sets)")
+    for ids, dim in family.items():
         node = result.node("closed_set")
         node.add("points", _id_list(ids))
-        tags = [name for name, fam in (("zariski", zar), ("refined", refined), ("point-closure", pc)) if ids in fam]
-        node.add("tags", " ".join(tags))
-        if ids in family:  # its own vanishing set, with no finite part
-            node.add("ideal_dim", family[ids])
-            node.add("v_points", _id_list(ids))
-            node.add("finite_part", "")
+        node.add("tags", "zariski refined point-closure")
+        node.add("ideal_dim", dim)
+        node.add("v_points", _id_list(ids))
+        node.add("finite_part", "")
     return result
 
 
@@ -373,10 +350,7 @@ def _cmd_stability(args) -> Doc:
 def _cmd_verify_form(args) -> Doc:
     a = _load_algebra(args.infile)
     space = enumerate_irr(a)
-    ids = _parse_set(args.set or "")
-    if any(i >= len(space.points) for i in ids):
-        raise DomainError("point id out of range")
-    rep = verify_closed_form(space, ids)
+    rep = verify_closed_form(space, _parse_set(args.set or ""))
     # Every point set is refined-closed and its own vanishing set, whose
     # ideal is the meet of annihilators: semiprimitive, with no finite part.
     result = Doc()

@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 ZARISKI_POINT_CAP = 16
-CLOSURE_POINT_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,9 @@ def zariski_closed_family(space: IrrSpace) -> dict[frozenset[int], int]:
     from the empty set through S to all points lowers the dimension by at
     most codim ann(i), and the identity for all points makes every step
     tight. As each ann(i) is proper, a tight step lowers the dimension, so S
-    is also the whole vanishing set of its meet."""
+    is also the whole vanishing set of its meet.
+
+    The cap, checked before any meet, bounds every listing of the family."""
     n = len(space)
     if n > ZARISKI_POINT_CAP:
         raise ValueError(f"semiprimitive lattice capped at {ZARISKI_POINT_CAP} points")
@@ -153,7 +154,7 @@ def refined_closure(space: IrrSpace, ids) -> frozenset[int]:
     in the space and returns them."""
     current = frozenset(int(i) for i in ids)
     if not current <= space.all_ids():
-        raise ValueError("point selection outside the space")
+        raise ValueError("point id out of range")
     return current
 
 

@@ -316,9 +316,10 @@ def test_cli_zariski_family_takes_one_meet(tmp_path, monkeypatch, command, n):
     assert calls == ["meet"]
 
 
-def test_cli_zlattice_refuses_more_than_16_points(tmp_path):
+@pytest.mark.parametrize("command", ["zlattice", "point-closure", "compare"])
+def test_cli_class_space_listings_refuse_more_than_16_points(tmp_path, command):
     alg = _write(tmp_path, "cs17.alg", "preset: commutative_split(17, 2)\n")
-    assert run(["zlattice", "--in", alg, "--format", "structured"])[:2] == (
+    assert run([command, "--in", alg, "--format", "structured"])[:2] == (
         1,
         "error: semiprimitive lattice capped at 16 points\n",
     )
@@ -363,6 +364,12 @@ def test_cli_vset_and_zlattice(tmp_path):
     assert code == 0 and "count: 4" in out
 
 
+@pytest.mark.parametrize("command", ["refined-closure", "verify-form"])
+def test_cli_refuses_a_point_id_out_of_range(tmp_path, command):
+    alg = _write(tmp_path, "ut2.alg", UT2_PRESET)
+    assert run([command, "--in", alg, "--set", "0,2", "--format", "structured"]) == (1, "error: point id out of range\n")
+
+
 def test_cli_refined_closure_and_verify_form(tmp_path):
     alg = _write(tmp_path, "ut2.alg", UT2_PRESET)
     code, out = run(["refined-closure", "--in", alg, "--set", "0", "--format", "structured"])
@@ -377,17 +384,18 @@ def test_cli_point_closure_concrete(tmp_path):
     assert code == 0 and "count: 4" in out
 
 
-def test_cli_validates_each_finite_space_once(tmp_path, monkeypatch):
+def test_cli_builds_no_finite_space_for_an_algebra(tmp_path, monkeypatch):
     from irrtop.pointclosure import FiniteSpace
 
-    calls = []
-    validate = FiniteSpace.validate
-    monkeypatch.setattr(FiniteSpace, "validate", lambda space: calls.append(space) or validate(space))
+    def refuse(space):
+        raise AssertionError("a finite space was built")
+
+    monkeypatch.setattr(FiniteSpace, "validate", refuse)
+    monkeypatch.setattr(FiniteSpace, "closure_pairs", refuse)
     alg = _write(tmp_path, "cs3.alg", "preset: commutative_split(3, 2)\n")
     for command in ("point-closure", "compare"):
-        calls.clear()
-        code, _ = run([command, "--in", alg, "--format", "structured"])
-        assert code == 0 and len(calls) == 1, command
+        code, out = run([command, "--in", alg, "--format", "structured"])
+        assert code == 0 and out.count("finite_part:") == 8, command
 
 
 def test_cli_weyl_pipe(tmp_path):
@@ -621,11 +629,10 @@ def test_cli_internal_error_exits_3_without_traceback(tmp_path, monkeypatch):
     assert out == "internal error: composition factor dimensions do not sum to the module dimension\n"
 
 
-def test_cli_point_closure_refuses_13_classes(tmp_path):
+def test_cli_point_closure_accepts_13_classes(tmp_path):
     alg = _write(tmp_path, "cs13.alg", "preset: commutative_split(13, 2)\n")
     code, out = run(["point-closure", "--in", alg, "--format", "structured"])
-    assert code == 1 and out.startswith("error:") and out.count("\n") == 1
-    assert "12 points" in out
+    assert code == 0 and "count: 8192" in out and out.count("\n  pair:") == 8192
 
 
 def test_cli_symbolic_point_closure_refuses_above_cap(tmp_path):

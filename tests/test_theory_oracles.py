@@ -10,21 +10,24 @@ redundant are kept here as oracles and must agree with the fast paths on
 every gallery algebra: the pairwise-intertwiner grouping, the
 composition-factor refined closure, the minimal-finite-part closed-form
 search, the meet of every point set behind the Zariski family's
-Chinese-remainder dimensions, the per-factor radical and the per-subfamily
-deletion fold."""
+Chinese-remainder dimensions, the Birkhoff point closure and three-family
+comparison behind the ``point-closure`` and ``compare`` listings, the
+per-factor radical and the per-subfamily deletion fold."""
 
 import itertools
 import sys
 
 import pytest
 
-from irrtop import embeddings, meataxe
+from irrtop import cli, embeddings, meataxe
 from irrtop.algebra import Ideal
+from irrtop.docs import Doc, parse_report
 from irrtop.embeddings import ProductFamily, deletion_stability
 from irrtop.linalg import Subspace
 from irrtop.meataxe import composition_factors, group_factors, is_isomorphic_simple, jacobson_radical
 from irrtop.modules import annihilator, direct_sum, regular_module
-from irrtop.presets import gallery, upper_triangular
+from irrtop.pointclosure import FiniteSpace, point_closure
+from irrtop.presets import commutative_split, gallery, upper_triangular
 from irrtop.topology import (
     IrrPoint,
     IrrSpace,
@@ -111,6 +114,53 @@ def verify_closed_form_oracle(space, ids, seed):
     _, sub, vpts, f = best
     meet = space.ann_meet([pt.id for pt in space.points if pt.ann.subspace.contains_space(sub)])
     return closure, sub, vpts, frozenset(f), meet == sub
+
+
+def _ids(ids):
+    return " ".join(map(str, sorted(ids)))
+
+
+def zariski_point_closure_oracle(space):
+    """The point closure of the Zariski family as an explicit finite space,
+    by Birkhoff's generators."""
+    family = frozenset(zariski_closed_family(space))
+    return point_closure(FiniteSpace(tuple(pt.id for pt in space.points), family))
+
+
+def point_closure_report_oracle(space):
+    """The ``point-closure`` report of an algebra from its finite space."""
+    pairs = zariski_point_closure_oracle(space).pairs
+    result = Doc().add("space", "finite").add("points", _ids(space.all_ids())).add("count", len(pairs))
+    for pair in pairs:
+        result.node("pair").add("closed_part", _ids(pair.c)).add("finite_part", _ids(pair.f))
+    return result
+
+
+def compare_report_oracle(space):
+    """The ``compare`` report from the three families computed apart: the
+    Zariski family, the point sets of the finite space's point closure, and
+    the fixed points of the refined closure."""
+    family = zariski_closed_family(space)
+    zar = set(family)
+    pc = zariski_point_closure_oracle(space).point_sets()
+    refined = {ids for ids in _subsets(len(space)) if refined_closure(space, ids) == ids}
+    discrete = len(zar) == len(pc) == len(refined) == 2 ** len(space)
+    all_equal = zar == pc == refined
+    result = Doc().add("zariski_count", len(zar)).add("point_closure_count", len(pc)).add("refined_count", len(refined))
+    result.add("all_equal", str(all_equal).lower()).add("discrete", str(discrete).lower())
+    if all_equal and discrete:
+        result.add("summary", f"zariski = refined = point-closure = discrete ({len(zar)} closed sets)")
+    elif all_equal:
+        result.add("summary", f"zariski = refined = point-closure ({len(zar)} closed sets)")
+    else:
+        result.add("summary", "topologies differ")
+    for ids in sorted(zar | pc | refined, key=lambda s: (len(s), sorted(s))):
+        node = result.node("closed_set").add("points", _ids(ids))
+        tags = [name for name, fam in (("zariski", zar), ("refined", refined), ("point-closure", pc)) if ids in fam]
+        node.add("tags", " ".join(tags))
+        if ids in family:
+            node.add("ideal_dim", family[ids]).add("v_points", _ids(ids)).add("finite_part", "")
+    return result
 
 
 def jacobson_radical_oracle(a, seed):
@@ -213,6 +263,21 @@ def test_zariski_family_dimensions_match_every_meet():
         for ids, dim in family.items():
             assert dim == space.ann_meet(ids).dim == intersect_fold(a, [anns[i] for i in ids]).dim, (a.name, ids)
         assert {ids: meet.dim for meet, ids in closed_sets_oracle(space).items()} == family, a.name
+
+
+@pytest.mark.parametrize("a", gallery() + [commutative_split(n, 2) for n in range(1, 13)], ids=lambda a: a.name)
+def test_class_space_listings_match_the_finite_space_oracle(tmp_path, monkeypatch, a):
+    # The listings print the Zariski family as the power set; the oracles
+    # build the finite space and compare the three families it was taken for.
+    monkeypatch.setattr(cli, "_algebra_from_text", lambda text: a)
+    alg = tmp_path / "a.alg"
+    alg.write_text("# read as `a` through the patched _algebra_from_text\n")
+    space = enumerate_irr(a)
+    for command, oracle in (("point-closure", point_closure_report_oracle), ("compare", compare_report_oracle)):
+        code, out = cli.run([command, "--in", str(alg), "--format", "structured"])
+        report, diags = parse_report(out)
+        assert code == 0 and not diags, (a.name, command)
+        assert report.get("result") == oracle(space), (a.name, command)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
