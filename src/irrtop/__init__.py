@@ -8,23 +8,16 @@ from .embeddings import (
     EmbeddingWitness,
     ProductFamily,
     ann_of_vector,
-    chain_bound,
     chain_product_embedding,
     deletion_stability,
     find_embedding,
-    longest_submodule_chain,
     staged_product_embedding,
-    submodule_lattice,
     sufficiency_check,
 )
 from .linalg import Subspace, kernel, rref, solve
 from .meataxe import (
     MeatAxeError,
-    brute_force_split,
     composition_factors,
-    group_factors,
-    is_isomorphic_simple,
-    is_semiprimitive,
     jacobson_radical,
     split,
 )
@@ -43,7 +36,6 @@ from .pointclosure import (
     FiniteSpace,
     SymbolicSpace,
     TopologyError,
-    brute_force_point_closure,
     chain_stabilize,
     make_pair,
     pc_intersect,

@@ -21,43 +21,19 @@ import time
 import numpy as np
 
 from . import docs as docsmod
-from .algebra import Algebra, Ideal, ideal_generated, product_space, quotient_algebra, radical_powers, validate_algebra
+from .algebra import Algebra, Ideal, ideal_generated, radical_powers, validate_algebra
 from .docs import Doc, render_report
 from .embeddings import (
     ProductFamily,
-    chain_bound,
     chain_product_embedding,
     deletion_stability,
     find_embedding,
-    longest_submodule_chain,
     staged_product_embedding,
     sufficiency_check,
 )
 from .linalg import Subspace
-from .meataxe import (
-    MeatAxeError,
-    brute_force_split,
-    composition_factors,
-    is_isomorphic_simple,
-    jacobson_radical,
-    regular_length,
-    semisimple_classes,
-    simple_classes,
-    split,
-)
-from .modules import annihilator, direct_sum, regular_module
-from .pointclosure import (
-    FiniteSpace,
-    TopologyError,
-    all_topologies,
-    brute_force_point_closure,
-    chain_stabilize,
-    pc_intersect,
-    point_closure,
-    random_topology,
-    weyl_model,
-)
-from .presets import gallery, upper_triangular
+from .meataxe import MeatAxeError, jacobson_radical, regular_length
+from .pointclosure import TopologyError, point_closure, weyl_model
 from .topology import (
     enumerate_irr,
     refined_closure,
@@ -65,6 +41,7 @@ from .topology import (
     verify_closed_form,
     zariski_closed_family,
 )
+
 
 class DomainError(Exception):
     pass
@@ -482,196 +459,11 @@ def _cmd_weyl_model(args) -> Doc:
     return result
 
 
-# --- selftest ----------------------------------------------------------------
-
-
-def _selftest_checks(seed: int):
-    rng = np.random.default_rng(seed)
-    from .linalg import kernel, rref
-    from .modules import check_module, sub_quotient
-    from .presets import commutative_split, group_algebra, cyclic_group_table, matrix_algebra
-
-    checks: list[tuple[str, bool]] = []
-
-    def check(name: str, ok: bool):
-        checks.append((name, bool(ok)))
-
-    # exact linear algebra laws on random small matrices
-    ok_rref = ok_kernel = ok_dims = True
-    for p in (2, 3, 5):
-        for _ in range(20):
-            m = rng.integers(0, p, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
-            r, rank, piv = rref(m, p)
-            r2, rank2, _ = rref(r, p)
-            ok_rref &= (r == r2).all() and rank == rank2
-            ok_kernel &= kernel(m, p).dim + rank == m.shape[1]
-            u = Subspace.from_rows(rng.integers(0, p, size=(2, 4)), p, ambient=4)
-            v = Subspace.from_rows(rng.integers(0, p, size=(2, 4)), p, ambient=4)
-            ok_dims &= u.dim + v.dim == u.add(v).dim + u.intersect(v).dim
-    check("rref-idempotent", ok_rref)
-    check("kernel-rank-dimension", ok_kernel)
-    check("subspace-dimension-formula", ok_dims)
-
-    small = [
-        matrix_algebra(2, 2),
-        upper_triangular(2, 2),
-        commutative_split(3, 2),
-        group_algebra(cyclic_group_table(4), 2, name="group_algebra(C4,2)"),
-    ]
-    check("presets-valid", all(not validate_algebra(a) for a in gallery()))
-    broken = matrix_algebra(2, 2)
-    lam = np.array(broken.mul)
-    lam[0, 0, 1] = (lam[0, 0, 1] + 1) % broken.p
-    corrupted = Algebra(broken.p, broken.dim, lam, broken.one, name="corrupted")
-    check("validator-detects-corruption", bool(validate_algebra(corrupted)))
-
-    ok_split = True
-    ok_axioms = True
-    for a in small:
-        reg = regular_module(a)
-        for s in (seed, seed + 1):
-            factors = composition_factors(reg, s)
-            ok_axioms &= all(not check_module(f) for f in factors)
-            for f in factors:
-                ok_split &= split(f, s).irreducible and brute_force_split(f).irreducible
-        res = split(reg, seed)
-        if res.submodule is not None:
-            sub, quot = sub_quotient(reg, res.submodule)
-            ok_axioms &= not check_module(sub) and not check_module(quot)
-    check("meataxe-agrees-with-brute-force", ok_split)
-    check("produced-modules-satisfy-axioms", ok_axioms)
-
-    ok_rad = True
-    for a in small:
-        rad = jacobson_radical(a)
-        power = rad.subspace
-        steps = 0
-        while power.dim and steps <= a.dim:
-            power = product_space(a, power, rad.subspace)
-            steps += 1
-        ok_rad &= power.dim == 0
-        if not rad.is_zero and not rad.is_whole:
-            q, _ = quotient_algebra(a, rad)
-            ok_rad &= jacobson_radical(q).is_zero
-        # The classes come from A/J; the MeatAxe classes, whose meet is the
-        # radical, cross-check both.
-        blocks = sorted((dim, ann.subspace.key()) for dim, ann in semisimple_classes(a))
-        ok_rad &= blocks == sorted((rep.n, ann.subspace.key()) for rep, ann in simple_classes(a, seed))
-    check("radical-nilpotent-and-semiprimitive-quotient", ok_rad)
-
-    ok_ann = True
-    for a in small[:2]:
-        space = enumerate_irr(a)
-        mods = [pt.rep for pt in space.points] + [regular_module(a)]
-        ds = direct_sum(a, mods)
-        meet = Subspace.full(a.dim, a.p)
-        for mm in mods:
-            meet = meet.intersect(annihilator(a, mm).subspace)
-        ok_ann &= annihilator(a, ds).subspace == meet
-    check("annihilator-of-sum-is-meet", ok_ann)
-
-    # Jordan-Hoelder, which refined_closure relies on: a sum of distinct
-    # simples has exactly its summands as factors, each once.
-    ok_fbn = True
-    for a in small:
-        space = enumerate_irr(a)
-        n = len(space.points)
-        for mask in range(2**n):
-            ids = frozenset(i for i in range(n) if mask >> i & 1)
-            prod = direct_sum(a, [space.points[i].rep for i in sorted(ids)])
-            factors = composition_factors(prod, seed)
-            hits = [pt.id for f in factors for pt in space.points if is_isomorphic_simple(pt.rep, f) is not None]
-            ok_fbn &= sorted(hits) == sorted(ids)
-    check("refined-closure-trivial-on-presets", ok_fbn)
-
-    ok_pc = True
-    count = 0
-    for fam in all_topologies(3):
-        fin = FiniteSpace(tuple(range(3)), fam)
-        got = point_closure(fin).point_sets()
-        want = brute_force_point_closure(range(3), fam)
-        ok_pc &= got == want
-        count += 1
-    ok_pc &= count == 29
-    for _ in range(25):
-        fam = random_topology(4, rng)
-        fin = FiniteSpace(tuple(range(4)), fam)
-        ok_pc &= point_closure(fin).point_sets() == brute_force_point_closure(range(4), fam)
-    check("point-closure-matches-oracle", ok_pc)
-
-    ok_chain = True
-    fam = random_topology(4, rng)
-    fin = FiniteSpace(tuple(range(4)), fam)
-    pairs = list(point_closure(fin).pairs)
-    for _ in range(10):
-        cur = pairs[int(rng.integers(0, len(pairs)))]
-        chain = [cur]
-        for _ in range(4):
-            cur = pc_intersect([cur, pairs[int(rng.integers(0, len(pairs)))]])
-            chain.append(cur)
-        m_idx = chain_stabilize(chain)  # internally cross-checked vs naive scan
-        ok_chain &= 1 <= m_idx <= len(chain)
-    check("chain-stabilization-matches-naive-scan", ok_chain)
-
-    wm = weyl_model(3)
-    pcw = point_closure(wm)
-    ok_weyl = len(pcw.pairs) == 9
-    ok_weyl &= sum(1 for q in pcw.pairs if q.c == "ALL") == 1
-    ok_weyl &= all(q.f == frozenset() for q in pcw.pairs if q.c == "ALL")
-    check("weyl-model-finite-complement", ok_weyl)
-
-    ut2 = upper_triangular(2, 2)
-    sp2 = enumerate_irr(ut2)
-    s1, s2 = sp2.points[0].rep, sp2.points[1].rep
-    famly = ProductFamily(ut2, (s1, s2))
-    rad2 = jacobson_radical(ut2)
-    drep = deletion_stability(famly, rad2, 1)
-    d0 = deletion_stability(famly, rad2, 0)
-    check("deletion-stability-example", d0.ok and not drep.ok)
-
-    reg = regular_module(ut2)
-    fam3 = ProductFamily(ut2, (s1, s2, reg))
-    found = find_embedding(fam3, Ideal(ut2, Subspace.zero(3, 2), "two-sided"), seed=seed)
-    check("embedding-search-finds-witness", found.status == "found" and found.witness.valid)
-    fam4 = ProductFamily(ut2, (s1, s2, reg, reg))
-    w, trace = staged_product_embedding(fam4, seed=seed)
-    check("staged-construction-succeeds", w is not None and w.valid)
-    wc, ctrace = chain_product_embedding(ProductFamily(ut2, (reg, reg, reg, reg)), seed=seed)
-    check("chain-construction-succeeds", wc is not None and wc.valid)
-    wf, ftrace = chain_product_embedding(ProductFamily(ut2, (s1, s1, s1)), seed=seed)
-    check("chain-construction-fails-without-faithful-factors", wf is None and ftrace.final_l_dim > 0)
-    bound = chain_bound(reg, seed)
-    guar_fam = ProductFamily(ut2, tuple([reg] * bound))
-    suff = sufficiency_check(ut2, guar_fam)
-    wg, _ = chain_product_embedding(guar_fam, seed=seed)
-    check("sufficiency-guarantee-realized", suff.guaranteed and wg is not None and wg.valid)
-
-    # The bound from the Loewy layers, the MeatAxe series and the lattice.
-    ok_bound = True
-    for a in (ut2, small[3]):
-        reg = regular_module(a)
-        want = longest_submodule_chain(reg) + 1
-        ok_bound &= chain_bound(reg, seed) == want and regular_length(a) + 2 == want
-    check("descent-bound-matches-lattice-oracle", ok_bound)
-
-    sample = "preset: upper_triangular(2, 2)\n"
-    adoc, diags = docsmod.parse_algebra(sample)
-    ok_round = adoc is not None and not diags
-    if ok_round:
-        text2 = docsmod.serialize_algebra_doc(adoc)
-        adoc2, diags2 = docsmod.parse_algebra(text2)
-        ok_round = adoc2 == adoc and not diags2
-    check("algebra-document-round-trip", ok_round)
-
-    verdict1 = [split(regular_module(a), seed).irreducible for a in small]
-    verdict2 = [split(regular_module(a), seed).irreducible for a in small]
-    check("seeded-rerun-is-identical", verdict1 == verdict2)
-
-    return checks
-
-
 def _cmd_selftest(args) -> Doc:
-    checks = _selftest_checks(args.seed)
+    # The one production import of the oracles: no other command loads them.
+    from .oracles import selftest_checks
+
+    checks = selftest_checks(args.seed)
     result = Doc()
     for name, ok in checks:
         node = result.node("check")
@@ -763,22 +555,27 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by every later ``run``."""
     ap = _Parser(prog="irrtop", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    # Each option beyond --seed, --out and --format, with the commands that
+    # read it; any other command refuses it as a usage error.
+    reads_input = [name for name in HANDLERS if name not in ("weyl-model", "selftest")]
+    options = [
+        ("--in", dict(dest="infile", default="-"), reads_input),
+        ("--set", dict(default=""), ["refined-closure", "verify-form"]),
+        ("--ideal", dict(default=""), ["vset", "embed", "embed-staged", "stability"]),
+        ("--t", dict(type=_count, default=0), ["stability"]),
+        ("--budget", dict(type=_count, default=5000), ["embed"]),
+        ("--points", dict(type=_count, default=3), ["weyl-model"]),
+        ("--order", dict(type=_index_list, default=None), ["embed-staged"]),
+        ("--module", dict(type=_module_name, default="regular"), ["chain-bound"]),
+    ]
     for name in HANDLERS:
         sp = sub.add_parser(name)
         sp.add_argument("--seed", type=_count, default=0)
-        sp.add_argument("--in", dest="infile", default="-")
-        sp.add_argument("--set", default="")
-        sp.add_argument("--ideal", default="")
-        sp.add_argument("--t", type=_count, default=0)
-        sp.add_argument("--budget", type=_count, default=5000)
+        for option, spec, readers in options:
+            if name in readers:
+                sp.add_argument(option, **spec)
         sp.add_argument("--out", default="")
         sp.add_argument("--format", dest="fmt", choices=("human", "structured"), default="human")
-        if name == "weyl-model":
-            sp.add_argument("--points", type=_count, default=3)
-        if name == "embed-staged":
-            sp.add_argument("--order", type=_index_list, default=None)
-        if name == "chain-bound":
-            sp.add_argument("--module", type=_module_name, default="regular")
     return ap
 
 

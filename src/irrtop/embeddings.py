@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Algebra, Ideal, quotient_algebra
-from .linalg import Subspace, all_vectors, as_vector, kernel, projective_vectors, ranks
-from .meataxe import composition_factors, regular_length, semisimple_blocks
-from .modules import ModuleRep, annihilator, spin
+from .linalg import Subspace, all_vectors, as_vector, kernel, ranks
+from .meataxe import regular_length, semisimple_blocks
+from .modules import ModuleRep, annihilator
 
 __all__ = [
     "ProductFamily",
@@ -38,9 +38,6 @@ __all__ = [
     "ChainStep",
     "ChainTrace",
     "chain_product_embedding",
-    "chain_bound",
-    "submodule_lattice",
-    "longest_submodule_chain",
     "SufficiencyReport",
     "sufficiency_check",
 ]
@@ -548,54 +545,6 @@ def chain_product_embedding(fam: ProductFamily, seed: int = 0) -> tuple[Embeddin
             raise AssertionError("chain construction produced an invalid witness")
         return witness, ChainTrace(tuple(steps), "witness", 0, kill)
     return None, ChainTrace(tuple(steps), "failure", kill.dim, kill)
-
-
-def chain_bound(m: ModuleRep, seed: int = 0) -> int:
-    """Composition length plus two: one more than the number of terms in the
-    longest strictly descending chain of submodules, for any module, from a
-    seeded MeatAxe composition series. The regular module's length needs no
-    series (``meataxe.regular_length``, from the Loewy layers), and a simple
-    module's is 1; this is their test oracle."""
-    return len(composition_factors(m, seed)) + 2
-
-
-def submodule_lattice(m: ModuleRep, state_cap: int = 4096) -> list[Subspace]:
-    """All submodules: cyclic spins of every scalar line, closed under
-    sums."""
-    p, n = m.p, m.n
-    if p**n > state_cap:
-        raise ValueError(f"submodule enumeration refused beyond {state_cap} states")
-    found: dict = {}
-    zero = Subspace.zero(n, p)
-    found[zero.key()] = zero
-    cyclics = []
-    for v in projective_vectors(n, p):
-        s = spin(m, [v])
-        if s.key() not in found:
-            found[s.key()] = s
-            cyclics.append(s)
-    work = list(found.values())
-    while work:
-        s = work.pop()
-        for c in cyclics:
-            u = s.add(c)
-            if u.key() not in found:
-                found[u.key()] = u
-                work.append(u)
-    return sorted(found.values(), key=lambda s: (s.dim, s.key()))
-
-
-def longest_submodule_chain(m: ModuleRep) -> int:
-    """Number of terms in the longest strictly descending submodule chain
-    (oracle by exhaustive lattice enumeration)."""
-    subs = submodule_lattice(m)
-    best = [1] * len(subs)
-    for i, s in enumerate(subs):
-        for j in range(i):
-            t = subs[j]
-            if t.dim < s.dim and s.contains_space(t):
-                best[i] = max(best[i], best[j] + 1)
-    return max(best) if best else 1
 
 
 @dataclass(frozen=True)

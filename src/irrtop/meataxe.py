@@ -1,6 +1,6 @@
 """Randomized irreducibility testing and composition factors for matrix
-modules over GF(p), the Schur-lemma isomorphism test, the radical, the
-simple classes and the composition length of the regular module.
+modules over GF(p), the radical, the simple classes and the composition
+length of the regular module.
 
 The radical (``jacobson_radical``) needs no MeatAxe and no seed: it is the
 end of the p-power trace chain of Ronyai and of Cohen, Ivanyos and Wales, a
@@ -18,14 +18,14 @@ idempotents lifted to A as one record.
 The regular module's composition length needs no MeatAxe (``regular_length``):
 it is the sum over the Loewy layers J^k / J^(k+1) and the classes i of
 dim(e_i layer) / dim S_i, each layer being a module over A/J. The seeded
-series of any module (``composition_factors``) is its test oracle.
+series of any module (``oracles.chain_bound``) is its test oracle.
 
 Simples are grouped by annihilator: ann(S) is a maximal ideal and A/ann(S)
 has one simple module, so simples are isomorphic iff their annihilators agree.
-The grouping of the regular module's composition factors (``group_factors``,
-``simple_classes``) is kept as the test oracle of the classes. Meets of class
-annihilators are one kernel of the stacked check matrices
-(``annihilator_meet``), checked against the Chinese remainder identity.
+The regular module's composition factors, so grouped, are the test oracle of
+the classes (``oracles.simple_classes``). Meets of class annihilators are one
+kernel of the stacked check matrices (``annihilator_meet``), checked against
+the Chinese remainder identity.
 
 ``split`` samples up to RETRY_BUDGET random elements theta of the acting
 algebra's image and stops at the first certificate:
@@ -69,17 +69,13 @@ import numpy as np
 from .algebra import Algebra, Ideal, is_ideal, radical_powers
 from .gfpoly import charpoly, distinct_roots, factor, is_irreducible, poly_eval_matrix
 from .linalg import Subspace, kernel, projective_vectors, ranks, rref, solve
-from .modules import ModuleRep, annihilator, annihilator_subspace, regular_module, spin, spin_matrices, sub_quotient
+from .modules import ModuleRep, regular_module, spin, spin_matrices, sub_quotient
 
 __all__ = [
     "MeatAxeError",
     "SplitResult",
     "split",
-    "brute_force_split",
     "composition_factors",
-    "is_isomorphic_simple",
-    "group_factors",
-    "simple_classes",
     "annihilator_meet",
     "CRT_FAILURE",
     "jacobson_radical",
@@ -91,12 +87,10 @@ __all__ = [
     "FILL_FAILURE",
     "regular_length",
     "class_representative",
-    "is_semiprimitive",
 ]
 
 RETRY_BUDGET = 64  # sampled elements looking for a certificate
 HOLT_REES_BUDGET = 64  # elements the Holt-Rees test may draw after that
-BRUTE_CAP = 4096
 KERNEL_LINE_CAP = 512
 TRACE_CHUNK = 1 << 20  # matrix entries per stack of the radical chain's powers
 CRT_FAILURE = "annihilator meet breaks the Chinese remainder identity: classes are not distinct simples"
@@ -146,20 +140,6 @@ def _perp(s: Subspace) -> Subspace:
     if s.dim == 0:
         return Subspace.full(s.ambient, s.p)
     return kernel(s.basis, s.p)
-
-
-def brute_force_split(m: ModuleRep) -> SplitResult:
-    """Spin every scalar line of the module; exact but exponential."""
-    p, n = m.p, m.n
-    if n < 1:
-        raise ValueError("cannot split the zero module")
-    if p**n > BRUTE_CAP:
-        raise MeatAxeError(f"brute-force split refused: {p}^{n} states exceed {BRUTE_CAP}")
-    for v in projective_vectors(n, p):
-        s = spin(m, [v])
-        if s.dim < n:
-            return SplitResult(False, s, "brute")
-    return SplitResult(True, None, "brute")
 
 
 def split(m: ModuleRep, seed: int = 0) -> SplitResult:
@@ -272,52 +252,6 @@ def composition_factors(m: ModuleRep, seed: int = 0) -> list[ModuleRep]:
     if total != m.n:
         raise AssertionError("composition factor dimensions do not sum to the module dimension")
     return out
-
-
-def is_isomorphic_simple(m1: ModuleRep, m2: ModuleRep) -> np.ndarray | None:
-    """Invertible intertwiner X with act1[i] @ X = X @ act2[i] for all i, or
-    None. Meaningful only for simple inputs (any nonzero solution is then
-    invertible)."""
-    if m1.algebra is not m2.algebra:
-        raise ValueError("isomorphism test requires modules over the same algebra")
-    if m1.n != m2.n:
-        return None
-    n, p, d = m1.n, m1.p, m1.algebra.dim
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    blocks = [
-        (np.kron(m1.action[i], eye) - np.kron(eye, m2.action[i].T)) % p
-        for i in range(d)
-    ]
-    ker = kernel(np.vstack(blocks), p)
-    for row in ker.basis:
-        x = row.reshape(n, n)
-        _, rank, _ = rref(x, p)
-        if rank == n:
-            return x
-    return None
-
-
-def group_factors(factors: list[ModuleRep]) -> dict[Subspace, tuple[ModuleRep, int]]:
-    """Group a list of simple modules by isomorphism class: one dict pass
-    keyed on the annihilator subspace, one ``annihilator_subspace`` kernel
-    per module, mapping to the first-found representative and the count, in
-    first-found order."""
-    groups: dict[Subspace, tuple[ModuleRep, int]] = {}
-    for f in factors:
-        key = annihilator_subspace(f)
-        rep, cnt = groups.get(key, (f, 0))
-        groups[key] = (rep, cnt + 1)
-    return groups
-
-
-def simple_classes(a: Algebra, seed: int = 0) -> list[tuple[ModuleRep, Ideal]]:
-    """One representative per simple class of the regular module, in
-    first-found order, with its annihilator: the grouping kernel itself,
-    self-checked once."""
-    factors = composition_factors(regular_module(a), seed)
-    return [(rep, annihilator(a, rep, key)) for key, (rep, _) in group_factors(factors).items()]
 
 
 def annihilator_meet(a: Algebra, anns: list[Subspace]) -> Subspace:
@@ -655,11 +589,3 @@ def class_representative(ann: Ideal, dim: int) -> ModuleRep:
     if rep.n != dim:
         raise AssertionError(f"a class of dimension {dim} got a representative of dimension {rep.n}")
     return rep
-
-
-def is_semiprimitive(a: Algebra, ideal: Ideal) -> bool:
-    """True iff the ideal is an intersection of simple-module annihilators:
-    the meet of the class annihilators containing it; the empty meet is the
-    whole algebra."""
-    anns = [ann.subspace for _, ann in semisimple_classes(a)]
-    return annihilator_meet(a, [s for s in anns if s.contains_space(ideal.subspace)]) == ideal.subspace

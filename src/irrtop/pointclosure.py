@@ -23,8 +23,6 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "TopologyError",
     "FiniteSpace",
@@ -40,14 +38,10 @@ __all__ = [
     "pc_intersect",
     "pc_union",
     "chain_stabilize",
-    "brute_force_point_closure",
-    "all_topologies",
-    "random_topology",
     "weyl_model",
 ]
 
 FINITE_POINT_CAP = 12
-BRUTE_POINT_CAP = 6
 
 
 class TopologyError(ValueError):
@@ -436,95 +430,12 @@ def chain_stabilize(chain: list[ClosedPair]) -> int:
     return m
 
 
-def brute_force_point_closure(points, closed_family) -> frozenset:
-    """Oracle: smallest family containing the input and all singletons,
-    stable under union and intersection, by fixpoint iteration."""
-    pts = frozenset(points)
-    if len(pts) > BRUTE_POINT_CAP:
-        raise TopologyError(f"brute-force point closure capped at {BRUTE_POINT_CAP} points")
-    fam = {frozenset(s) for s in closed_family}
-    fam.add(frozenset())
-    fam.add(pts)
-    for pt in pts:
-        fam.add(frozenset([pt]))
-    changed = True
-    while changed:
-        changed = False
-        cur = list(fam)
-        for x in cur:
-            for y in cur:
-                for z in (x | y, x & y):
-                    if z not in fam:
-                        fam.add(z)
-                        changed = True
-    return frozenset(fam)
-
-
-def _downsets(n: int, rel: np.ndarray) -> frozenset:
-    """Closed sets of the topology with specialization preorder rel (rel[i, j]
-    true meaning i lies in the closure of j)."""
-    fam = set()
-    for mask in range(2**n):
-        ok = True
-        for j in range(n):
-            if not mask >> j & 1:
-                continue
-            for i in range(n):
-                if rel[i, j] and not mask >> i & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            fam.add(frozenset(i for i in range(n) if mask >> i & 1))
-    return frozenset(fam)
-
-
-def all_topologies(n: int):
-    """Every topology on n labeled points (via its specialization preorder),
-    as a closed-set family. Practical for n <= 4."""
-    if n < 0 or n > 4:
-        raise ValueError("exhaustive topology enumeration supported for n <= 4")
-    if n == 0:
-        yield frozenset([frozenset()])
-        return
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for mask in range(2 ** len(offdiag)):
-        rel = np.eye(n, dtype=bool)
-        for b, (i, j) in enumerate(offdiag):
-            if mask >> b & 1:
-                rel[i, j] = True
-        trans = True
-        for k in range(n):
-            for i in range(n):
-                if rel[i, k]:
-                    for j in range(n):
-                        if rel[k, j] and not rel[i, j]:
-                            trans = False
-                            break
-                if not trans:
-                    break
-            if not trans:
-                break
-        if trans:
-            yield _downsets(n, rel)
-
-
-def random_topology(n: int, rng: np.random.Generator) -> frozenset:
-    """Random topology on n points from a sparse random relation. Its
-    downsets are those of its reflexive transitive closure, a preorder, so
-    the closure is never formed."""
-    rel = np.eye(n, dtype=bool)
-    edges = rng.integers(0, n * n // 2 + 1)
-    for _ in range(int(edges)):
-        i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
-        rel[i, j] = True
-    return _downsets(n, rel)
-
-
 def weyl_model(n_named_points: int = 3) -> SymbolicSpace:
     """Countably infinite symbolic space whose declared closed family is
-    just the empty set and the whole space, with named point handles."""
+    just the empty set and the whole space, with named point handles. More
+    handles than ``point_closure`` accepts are refused before any is named."""
+    if n_named_points > FINITE_POINT_CAP:
+        raise TopologyError(f"symbolic point closure capped at {FINITE_POINT_CAP} named points")
     names = ("EMPTY", "ALL")
     pts = tuple(f"q{i}" for i in range(n_named_points))
     member = {}

@@ -15,32 +15,30 @@ from irrtop.cli import run
 from irrtop.docs import parse_algebra, parse_family
 from irrtop.embeddings import (
     ProductFamily,
-    chain_bound,
     chain_product_embedding,
     find_embedding,
-    longest_submodule_chain,
     staged_product_embedding,
     sufficiency_check,
 )
 from irrtop.linalg import Subspace
-from irrtop.meataxe import (
-    brute_force_split,
-    composition_factors,
-    is_isomorphic_simple,
-    is_semiprimitive,
-    jacobson_radical,
-    split,
-)
+from irrtop.meataxe import composition_factors, jacobson_radical, split
 from irrtop.modules import regular_module, spin, sub_quotient
-from irrtop.pointclosure import (
-    FiniteSpace,
+from irrtop.oracles import (
     all_topologies,
     brute_force_point_closure,
+    brute_force_split,
+    chain_bound,
+    is_isomorphic_simple,
+    is_semiprimitive,
+    longest_submodule_chain,
+    random_topology,
+)
+from irrtop.pointclosure import (
+    FiniteSpace,
     pair_point_set,
     pc_intersect,
     pc_union,
     point_closure,
-    random_topology,
     weyl_model,
 )
 from irrtop.presets import gallery, matrix_algebra, upper_triangular

@@ -20,8 +20,9 @@ from irrtop.algebra import Ideal, ideal_generated, is_ideal
 from irrtop.cli import run
 from irrtop.docs import build_preset, parse_preset_expr
 from irrtop.linalg import PRIME_BOUND, Subspace, is_prime, kernel, rref
-from irrtop.meataxe import composition_factors, group_factors, jacobson_radical
+from irrtop.meataxe import composition_factors, jacobson_radical
 from irrtop.modules import annihilates_as_ideal, annihilator_subspace, regular_module, spin, sub_quotient, zero_module
+from irrtop.oracles import group_factors
 from irrtop.presets import gallery
 from irrtop.topology import IrrPoint, IrrSpace, enumerate_irr, vanishing_set
 from test_elimination import is_ideal_oracle

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 from irrtop import meataxe
 from irrtop.algebra import ideal_generated, quotient_algebra
 from irrtop.cli import run
-from irrtop.meataxe import composition_factors, semisimple_classes, simple_classes
+from irrtop.meataxe import composition_factors, semisimple_classes
 from irrtop.modules import annihilator_subspace, check_module, regular_module, sub_quotient
+from irrtop.oracles import simple_classes
 from irrtop.topology import enumerate_irr
 from test_check_matrices import _preset
 from test_radical import shapes_at

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irrtop import cli
+from irrtop import cli, oracles
 from irrtop.cli import run
 from irrtop.docs import (
     build_algebra,
@@ -398,13 +398,14 @@ def test_cli_builds_no_finite_space_for_an_algebra(tmp_path, monkeypatch):
         assert code == 0 and out.count("finite_part:") == 8, command
 
 
-def test_cli_weyl_pipe(tmp_path):
-    code, wm = run(["weyl-model", "--points", "3", "--format", "structured"])
+@pytest.mark.parametrize("points", [3, 12])  # 12 is the cap
+def test_cli_weyl_pipe(tmp_path, points):
+    code, wm = run(["weyl-model", "--points", str(points), "--format", "structured"])
     assert code == 0
     rep = _write(tmp_path, "wm.txt", wm)
     code, out = run(["point-closure", "--in", rep, "--format", "structured"])
-    assert code == 0 and "count: 9" in out
-    assert out.count("closed_part: EMPTY") == 8
+    assert code == 0 and f"count: {2**points + 1}" in out
+    assert out.count("closed_part: EMPTY") == 2**points
     assert out.count("closed_part: ALL") == 1
 
 
@@ -636,11 +637,45 @@ def test_cli_point_closure_accepts_13_classes(tmp_path):
 
 
 def test_cli_symbolic_point_closure_refuses_above_cap(tmp_path):
-    code, wm = run(["weyl-model", "--points", "13", "--format", "structured"])
-    assert code == 0
+    # weyl-model refuses 13 points itself, so the report is written out.
+    names = " ".join(f"q{i}" for i in range(13))
+    wm = (
+        "irrtop/1\ncommand: weyl-model\nseed: 0\nresult:\n  symbolic_space:\n    kind: trivial-zariski\n"
+        f"    infinite: true\n    closed_family: EMPTY ALL\n    points: {names}\n"
+    )
     rep = _write(tmp_path, "wm13.txt", wm)
     code, out = run(["point-closure", "--in", rep, "--format", "structured"])
-    assert code == 1 and out.startswith("error:") and out.count("\n") == 1
+    assert (code, out) == (1, "error: symbolic point closure capped at 12 named points\n")
+
+
+@pytest.mark.parametrize("points", ["13", "100000000"])
+def test_cli_weyl_model_refuses_more_points_than_point_closure_takes(points):
+    """The cap is checked before any name is built, so 10^8 points cost
+    nothing."""
+    assert run(["weyl-model", "--points", points]) == (1, "error: symbolic point closure capped at 12 named points\n")
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("irr", "--budget"),
+        ("irr", "--t"),
+        ("irr", "--set"),
+        ("validate", "--ideal"),
+        ("vset", "--set"),
+        ("refined-closure", "--ideal"),
+        ("embed", "--t"),
+        ("embed-staged", "--budget"),
+        ("stability", "--budget"),
+        ("chain-bound", "--points"),
+        ("weyl-model", "--in"),
+        ("selftest", "--in"),
+        ("selftest", "--order"),
+    ],
+)
+def test_cli_refuses_an_option_its_command_does_not_read(tmp_path, command, option):
+    code, out = run([command, option, "1"])
+    assert code == 2 and out.startswith("error: unrecognized arguments:") and option in out and out.count("\n") == 1
 
 
 def test_cli_unwritable_output_file(tmp_path):
@@ -661,16 +696,16 @@ def test_cli_selftest_deterministic():
 @pytest.mark.parametrize(
     "name, fake",
     [
-        ("direct_sum", lambda real: lambda a, ms: real(a, ms + [cli.regular_module(a)])),  # an extra class
+        ("direct_sum", lambda real: lambda a, ms: real(a, ms + [oracles.regular_module(a)])),  # an extra class
         ("composition_factors", lambda real: lambda m, seed: real(m, seed) * 2),  # each class twice
         ("is_isomorphic_simple", lambda real: lambda m1, m2: np.eye(m1.n, dtype=np.int64)),  # all alike
     ],
 )
 def test_selftest_checks_the_factors_of_sums_of_simples(monkeypatch, name, fake):
     check = "refined-closure-trivial-on-presets"
-    assert dict(cli._selftest_checks(0))[check]
-    monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
-    assert not dict(cli._selftest_checks(0))[check]
+    assert dict(oracles.selftest_checks(0))[check]
+    monkeypatch.setattr(oracles, name, fake(getattr(oracles, name)))
+    assert not dict(oracles.selftest_checks(0))[check]
 
 
 def test_selftest_validates_each_finite_space_once(monkeypatch):
@@ -679,7 +714,7 @@ def test_selftest_validates_each_finite_space_once(monkeypatch):
     calls = []
     validate = FiniteSpace.validate
     monkeypatch.setattr(FiniteSpace, "validate", lambda space: calls.append(space) or validate(space))
-    assert all(ok for _, ok in cli._selftest_checks(0))
+    assert all(ok for _, ok in oracles.selftest_checks(0))
     # The 29 topologies on 3 points, 25 random ones on 4, and the chain check's.
     assert len(calls) == 55
 

@@ -20,18 +20,16 @@ from irrtop.embeddings import (
     EmbeddingWitness,
     ProductFamily,
     ann_of_vector,
-    chain_bound,
     chain_product_embedding,
     deletion_stability,
     find_embedding,
-    longest_submodule_chain,
     staged_product_embedding,
-    submodule_lattice,
     sufficiency_check,
 )
 from irrtop.linalg import Subspace, all_vectors
-from irrtop.meataxe import composition_factors, group_factors, jacobson_radical
+from irrtop.meataxe import composition_factors, jacobson_radical
 from irrtop.modules import annihilator, direct_sum, regular_module, spin, zero_module
+from irrtop.oracles import chain_bound, group_factors, longest_submodule_chain, submodule_lattice
 from irrtop.presets import commutative_split, gallery, matrix_algebra, truncated_polynomial, upper_triangular
 from irrtop.topology import enumerate_irr
 
@@ -593,10 +591,10 @@ def test_constructions_never_spin_or_build_sums(monkeypatch):
     setup = ut2_setup()
     a, s1, s2, reg = setup
     rad = jacobson_radical(a, 0)
-    assert not hasattr(embeddings, "direct_sum")
+    assert not hasattr(embeddings, "direct_sum") and not hasattr(embeddings, "spin")
     monkeypatch.setattr(modules, "direct_sum", refuse("direct_sum"))
     monkeypatch.setattr(modules, "spin_matrices", refuse("spin_matrices"))
-    monkeypatch.setattr(embeddings, "spin", refuse("spin"))
+    monkeypatch.setattr(modules, "spin", refuse("spin"))
     found = set()
     for _, fam in ut2_families(setup, 3):
         found.add(find_embedding(fam, zero_ideal(a), 0).status)
@@ -649,8 +647,8 @@ def test_sufficiency_check_matches_three_separate_splits(monkeypatch):
         reg = regular_module(a)
         want_simple = jacobson_radical(a, 0).is_zero and len(group_factors(composition_factors(reg, 0))) == 1
         want_bound = chain_bound(reg, 0)
+        assert not hasattr(embeddings, "composition_factors")
         with monkeypatch.context() as mp:
-            mp.setattr(embeddings, "composition_factors", counted)
             mp.setattr(meataxe, "composition_factors", counted)
             calls.clear()
             rep = sufficiency_check(a, ProductFamily(a, (reg,)))

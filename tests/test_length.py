@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from irrtop import embeddings, meataxe
 from irrtop.algebra import Algebra
 from irrtop.cli import run
-from irrtop.embeddings import ProductFamily, chain_bound, longest_submodule_chain, sufficiency_check
+from irrtop.embeddings import ProductFamily, sufficiency_check
 from irrtop.meataxe import composition_factors, regular_length
 from irrtop.modules import regular_module
+from irrtop.oracles import chain_bound, longest_submodule_chain
 from irrtop.topology import enumerate_irr
 from test_check_matrices import _preset
 from test_classes import rebased_presets

@@ -4,7 +4,7 @@ isomorphism testing, and the radical."""
 import numpy as np
 import pytest
 
-from irrtop import meataxe
+from irrtop import meataxe, oracles
 from irrtop.algebra import Algebra, Ideal, quotient_algebra, validate_algebra
 from irrtop.linalg import Subspace, kernel, projective_vectors, rref
 from irrtop.meataxe import (
@@ -13,11 +13,7 @@ from irrtop.meataxe import (
     RETRY_BUDGET,
     MeatAxeError,
     SplitResult,
-    brute_force_split,
     composition_factors,
-    group_factors,
-    is_isomorphic_simple,
-    is_semiprimitive,
     jacobson_radical,
     split,
 )
@@ -31,6 +27,7 @@ from irrtop.modules import (
     spin_matrices,
     sub_quotient,
 )
+from irrtop.oracles import brute_force_split, group_factors, is_isomorphic_simple, is_semiprimitive
 from irrtop.presets import (
     commutative_split,
     cyclic_group_table,
@@ -296,7 +293,7 @@ def sampling_split_oracle(m, rng):
         if dual.dim < n:
             return SplitResult(False, meataxe._perp(dual), "meataxe-dual", attempt)
         return SplitResult(True, None, "meataxe", attempt)
-    return meataxe.brute_force_split(m)
+    return oracles.brute_force_split(m)
 
 
 def series_splits(m, seed):
@@ -353,8 +350,8 @@ def test_split_matches_the_sampling_oracle_on_reducible_modules(seed):
 
 def test_composition_factors_never_scan_by_brute_force(monkeypatch):
     calls = []
-    brute = meataxe.brute_force_split
-    monkeypatch.setattr(meataxe, "brute_force_split", lambda m: calls.append(m.n) or brute(m))
+    brute = oracles.brute_force_split
+    monkeypatch.setattr(oracles, "brute_force_split", lambda m: calls.append(m.n) or brute(m))
     fields = [
         group_algebra(cyclic_group_table(3), 2),
         group_algebra(cyclic_group_table(7), 2),

@@ -2,6 +2,8 @@
 operations against set-theoretic oracles, chain stabilization, and the
 symbolic trivial-family model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from irrtop.pointclosure import (
     FINITE_POINT_CAP,
     FiniteSpace,
     TopologyError,
-    all_topologies,
-    brute_force_point_closure,
     chain_stabilize,
     lattice_problems,
     make_pair,
@@ -19,9 +19,9 @@ from irrtop.pointclosure import (
     pc_intersect,
     pc_union,
     point_closure,
-    random_topology,
     weyl_model,
 )
+from irrtop.oracles import all_topologies, brute_force_point_closure, random_topology
 
 
 def trivial_family(n):
@@ -295,11 +295,21 @@ def test_make_pair_does_not_depend_on_the_family_order(monkeypatch):
             monkeypatch.undo()
 
 
+def symbolic_space(n: int):
+    """weyl_model's space with n handles, built here past the model's cap."""
+    wm = weyl_model(1)
+    points = tuple(f"q{i}" for i in range(n))
+    member = {(q, c): c == "ALL" for q in points for c in wm.names}
+    return dataclasses.replace(wm, points=points, member=member)
+
+
 def test_symbolic_point_closure_refuses_above_cap():
-    wm = weyl_model(FINITE_POINT_CAP + 1)
     with pytest.raises(TopologyError, match="capped"):
-        point_closure(wm)
+        weyl_model(FINITE_POINT_CAP + 1)
+    with pytest.raises(TopologyError, match="capped"):
+        point_closure(symbolic_space(FINITE_POINT_CAP + 1))
     assert len(point_closure(weyl_model(4)).pairs) == 17
+    assert point_closure(symbolic_space(4)).pairs == point_closure(weyl_model(4)).pairs
 
 
 def test_symbolic_validate_reports_missing_subset_and_membership_entries():
@@ -347,6 +357,7 @@ def test_cap_messages():
     with pytest.raises(TopologyError) as err:
         point_closure(FiniteSpace.make(range(over), trivial_family(over)))
     assert str(err.value) == "finite point closure capped at 12 points"
-    with pytest.raises(TopologyError) as err:
-        point_closure(weyl_model(over))
-    assert str(err.value) == "symbolic point closure capped at 12 named points"
+    for build in (lambda: point_closure(symbolic_space(over)), lambda: weyl_model(over)):
+        with pytest.raises(TopologyError) as err:
+            build()
+        assert str(err.value) == "symbolic point closure capped at 12 named points"

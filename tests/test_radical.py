@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from irrtop import meataxe
 from irrtop.algebra import ideal_generated, product_space, quotient_algebra, radical_powers
 from irrtop.linalg import Subspace
-from irrtop.meataxe import annihilator_meet, jacobson_radical, simple_classes
+from irrtop.meataxe import annihilator_meet, jacobson_radical
+from irrtop.oracles import simple_classes
 from test_check_matrices import SHAPES, _preset
 from test_validation import rebase
 

@@ -19,13 +19,14 @@ import sys
 
 import pytest
 
-from irrtop import cli, embeddings, meataxe
+from irrtop import cli, embeddings, oracles
 from irrtop.algebra import Ideal
 from irrtop.docs import Doc, parse_report
 from irrtop.embeddings import ProductFamily, deletion_stability
 from irrtop.linalg import Subspace
-from irrtop.meataxe import composition_factors, group_factors, is_isomorphic_simple, jacobson_radical
+from irrtop.meataxe import composition_factors, jacobson_radical
 from irrtop.modules import annihilator, direct_sum, regular_module
+from irrtop.oracles import group_factors, is_isomorphic_simple
 from irrtop.pointclosure import FiniteSpace, point_closure
 from irrtop.presets import commutative_split, gallery, upper_triangular
 from irrtop.topology import (
@@ -313,7 +314,7 @@ def test_fast_paths_never_test_isomorphism_or_build_sums(monkeypatch):
             verify_closed_form(space, ids)
     assert iso == [] and sums == []
     # The counters do see calls made through the package.
-    meataxe.is_isomorphic_simple(space.points[0].rep, space.points[0].rep)
+    oracles.is_isomorphic_simple(space.points[0].rep, space.points[0].rep)
     assert iso == ["is_isomorphic_simple"]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from irrtop.algebra import Ideal
 from irrtop.linalg import Subspace
-from irrtop.meataxe import is_semiprimitive
+from irrtop.oracles import is_semiprimitive
 from irrtop.presets import (
     commutative_split,
     gallery,
