@@ -234,15 +234,14 @@ def _cmd_refined_closure(args) -> Doc:
     return result
 
 
-def _weyl_points_from_report(doc: Doc) -> int | None:
-    res = doc.get("result")
-    if not isinstance(res, Doc):
-        return None
-    sym = res.get("symbolic_space")
-    if not isinstance(sym, Doc):
-        return None
-    pts = sym.get("points")
-    return len(str(pts).split()) if pts else 0
+def _symbolic_space_node(space) -> Doc:
+    """The ``symbolic_space`` node that ``weyl-model`` prints for the space."""
+    node = Doc()
+    node.add("kind", "trivial-zariski")
+    node.add("infinite", "true")
+    node.add("closed_family", " ".join(space.names))
+    node.add("points", " ".join(space.points))
+    return node
 
 
 def _id_list(ids) -> str:
@@ -268,10 +267,14 @@ def _cmd_point_closure(args) -> Doc:
     rep, diags = docsmod.parse_report(text)
     if rep is None:
         raise UsageError("report parse failed: " + "; ".join(str(d) for d in diags))
-    npts = _weyl_points_from_report(rep)
-    if npts is None:
+    # The report is read only as the weyl-model report that it equals; the
+    # cap on named points is checked first.
+    res = rep.get("result")
+    sym = res.get("symbolic_space") if isinstance(res, Doc) else None
+    points = sym.get("points") if isinstance(sym, Doc) else None
+    space = weyl_model(len(points.split())) if isinstance(points, str) else None
+    if space is None or sym != _symbolic_space_node(space):
         raise UsageError("report does not describe a symbolic space")
-    space = weyl_model(npts)
     result.add("space", "symbolic")
     result.add("named_points", " ".join(space.points))
     fam = point_closure(space)
@@ -449,13 +452,8 @@ def _cmd_sufficiency(args) -> Doc:
 
 
 def _cmd_weyl_model(args) -> Doc:
-    space = weyl_model(args.points)
     result = Doc()
-    node = result.node("symbolic_space")
-    node.add("kind", "trivial-zariski")
-    node.add("infinite", "true")
-    node.add("closed_family", " ".join(space.names))
-    node.add("points", " ".join(space.points))
+    result.items.append(("symbolic_space", _symbolic_space_node(weyl_model(args.points))))
     return result
 
 

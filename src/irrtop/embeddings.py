@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,15 +192,19 @@ class DeletionReport:
 
 
 def deletion_stability(fam: ProductFamily, target: Ideal, t: int) -> DeletionReport:
-    if t >= len(fam.factors) and len(fam.factors) > 0:
+    n = len(fam.factors)
+    if 0 < n <= t:
         raise ValueError("deletion budget must be smaller than the factor count")
+    depth = min(t, n)  # an empty family admits any budget and has nothing to delete
+    if sum(math.comb(n, k) for k in range(depth + 1)) > EXHAUSTIVE_CAP:
+        raise ValueError(f"deletion check capped at {EXHAUSTIVE_CAP} subfamilies")
     a = fam.algebra
     anns = fam.annihilators
     meets: dict[frozenset[Subspace], Subspace] = {}  # keyed on the distinct kept annihilators
     failures = []
     checked = 0
-    idx = range(len(fam.factors))
-    for k in range(t + 1):
+    idx = range(n)
+    for k in range(depth + 1):
         for deleted in itertools.combinations(idx, k):
             kept = frozenset(anns[i] for i in idx if i not in deleted)
             sub = meets.get(kept)

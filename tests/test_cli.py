@@ -1,6 +1,7 @@
 """Document parsing (totality, diagnostics, round trips) and the command
 line surface (dispatch, determinism, exit codes)."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -398,7 +399,7 @@ def test_cli_builds_no_finite_space_for_an_algebra(tmp_path, monkeypatch):
         assert code == 0 and out.count("finite_part:") == 8, command
 
 
-@pytest.mark.parametrize("points", [3, 12])  # 12 is the cap
+@pytest.mark.parametrize("points", [0, 3, 12])  # 12 is the cap
 def test_cli_weyl_pipe(tmp_path, points):
     code, wm = run(["weyl-model", "--points", str(points), "--format", "structured"])
     assert code == 0
@@ -450,6 +451,15 @@ def test_cli_stability(tmp_path):
     code, out = run(["stability", "--in", fam, "--ideal", "0 1 0", "--t", "1", "--format", "structured"])
     assert code == 0 and "stable: false" in out
     assert out.count("failure:") == 2
+
+
+def test_cli_stability_refuses_more_than_4096_subfamilies(tmp_path):
+    """40 factors with t = 3 would check 10,701 subfamilies; with t = 20,
+    about 6.2e11. Both are refused before any meet."""
+    fam = _write(tmp_path, "forty.fam", "algebra: preset commutative_split(2, 2)\n" + "factor: regular\n" * 40)
+    for t in ("3", "20"):
+        got = run(["stability", "--in", fam, "--t", t, "--format", "structured"])
+        assert got == (1, "error: deletion check capped at 4096 subfamilies\n")
 
 
 def test_cli_chain_bound(tmp_path):
@@ -648,6 +658,23 @@ def test_cli_symbolic_point_closure_refuses_above_cap(tmp_path):
     assert (code, out) == (1, "error: symbolic point closure capped at 12 named points\n")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        # a points line that opens a subtree
+        "  symbolic_space:\n    kind: trivial-zariski\n    infinite: true\n    closed_family: EMPTY ALL\n"
+        "    points:\n      q0: q1\n",
+        # another family over three points
+        "  symbolic_space:\n    kind: trivial-zariski\n    infinite: true\n    closed_family: A B C\n    points: a a a\n",
+    ],
+    ids=["points-subtree", "other-family"],
+)
+def test_cli_point_closure_refuses_a_report_that_is_no_weyl_model(tmp_path, body):
+    rep = _write(tmp_path, "sym.txt", "irrtop/1\ncommand: weyl-model\nseed: 0\nresult:\n" + body)
+    code, out = run(["point-closure", "--in", rep, "--format", "structured"])
+    assert (code, out) == (2, "error: report does not describe a symbolic space\n")
+
+
 @pytest.mark.parametrize("points", ["13", "100000000"])
 def test_cli_weyl_model_refuses_more_points_than_point_closure_takes(points):
     """The cap is checked before any name is built, so 10^8 points cost
@@ -693,19 +720,15 @@ def test_cli_selftest_deterministic():
     assert "failed: 0" in out1
 
 
-@pytest.mark.parametrize(
-    "name, fake",
-    [
-        ("direct_sum", lambda real: lambda a, ms: real(a, ms + [oracles.regular_module(a)])),  # an extra class
-        ("composition_factors", lambda real: lambda m, seed: real(m, seed) * 2),  # each class twice
-        ("is_isomorphic_simple", lambda real: lambda m1, m2: np.eye(m1.n, dtype=np.int64)),  # all alike
-    ],
-)
-def test_selftest_checks_the_factors_of_sums_of_simples(monkeypatch, name, fake):
-    check = "refined-closure-trivial-on-presets"
-    assert dict(oracles.selftest_checks(0))[check]
-    monkeypatch.setattr(oracles, name, fake(getattr(oracles, name)))
-    assert not dict(oracles.selftest_checks(0))[check]
+def test_cli_selftest_reports_a_failed_criterion(monkeypatch):
+    criteria = list(oracles.CRITERIA)
+    entry = criteria[1]
+    criteria[1] = dataclasses.replace(entry, check=lambda seed: False)
+    monkeypatch.setattr(oracles, "CRITERIA", criteria)
+    code, out = run(["selftest", "--format", "structured"])
+    assert code == 1
+    assert f"    name: {entry.name}\n    ok: false\n" in out and out.count("ok: false") == 1
+    assert out.endswith(f"  passed: {len(oracles.CRITERIA) - 1}\n  failed: 1\n")
 
 
 def test_selftest_validates_each_finite_space_once(monkeypatch):
@@ -715,8 +738,9 @@ def test_selftest_validates_each_finite_space_once(monkeypatch):
     validate = FiniteSpace.validate
     monkeypatch.setattr(FiniteSpace, "validate", lambda space: calls.append(space) or validate(space))
     assert all(ok for _, ok in oracles.selftest_checks(0))
-    # The 29 topologies on 3 points, 25 random ones on 4, and the chain check's.
-    assert len(calls) == 55
+    # Criterion 1: the 1 + 4 + 29 + 355 topologies on 1 to 4 points and 100
+    # random ones on each of 5 and 6; criterion 3: one per gallery algebra.
+    assert len(calls) == 389 + 200 + 15
 
 
 def test_cli_output_file(tmp_path):

@@ -74,6 +74,13 @@ def test_deletion_stability_t0_checks_full_product():
     assert rep.ok and rep.checked == 1
 
 
+def test_deletion_stability_of_no_factors_reads_any_budget_at_once():
+    """An empty family is its only subfamily, whatever the budget."""
+    a = upper_triangular(2, 2)
+    rep = deletion_stability(ProductFamily(a, ()), Ideal(a, Subspace.full(3, 2), "two-sided"), 10**9)
+    assert rep.ok and rep.checked == 1 and rep.t == 10**9
+
+
 def test_deletion_stability_faithful_copies():
     a, s1, s2, reg = ut2_setup()
     fam = ProductFamily(a, (reg, reg, reg, reg))

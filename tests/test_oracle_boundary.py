@@ -1,18 +1,24 @@
 """What ``import irrtop.cli`` loads is what the commands run. The brute-force
-and enumeration oracles and the selftest's checks live in ``irrtop.oracles``;
-no other module imports it, except the ``selftest`` handler in its body, so
-a fresh import of the CLI leaves it unloaded. Every name a module imports is
-used in it."""
+and enumeration oracles and the acceptance criteria that ``selftest`` runs
+live in ``irrtop.oracles``; no other module imports it, except the
+``selftest`` handler in its body, so a fresh import of the CLI leaves it
+unloaded. Every name a module imports is used in it."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import pytest
+
 import irrtop
+from irrtop.oracles import CRITERIA
 
 PACKAGE = Path(irrtop.__file__).parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
 
 
 def _modules():
@@ -45,11 +51,21 @@ def test_only_the_selftest_handler_imports_the_oracles():
 
 
 def test_a_fresh_cli_import_leaves_the_oracles_unloaded():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, irrtop.cli; print(sorted(m for m in sys.modules if m.startswith('irrtop')))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, check=True).stdout
     loaded = ast.literal_eval(out)
     assert "irrtop.cli" in loaded and "irrtop.oracles" not in loaded
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_selftest_runs_the_criteria_in_order_within_5_s(seed):
+    argv = [sys.executable, "-m", "irrtop", "selftest", "--seed", seed, "--format", "structured"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, env=ENV, capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0 and proc.stdout.endswith(f"  passed: {len(CRITERIA)}\n  failed: 0\n")
+    assert re.findall(r"^    name: (.*)$", proc.stdout, re.M) == [c.name for c in CRITERIA]
+    assert elapsed <= 5, elapsed
 
 
 def _imported_names(tree) -> dict[str, int]:
