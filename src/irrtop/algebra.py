@@ -8,11 +8,12 @@ appropriate multiplications.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Subspace, as_vector, validate_prime
+from .linalg import Subspace, _mod, as_vector, validate_prime
 
 __all__ = [
     "ALGEBRA_DIM_CAP",
@@ -58,7 +59,10 @@ class Algebra:
         # `multiply` sums dim**2 triple products of entries below p in int64.
         if d * d * (p - 1) ** 3 >= 2**63:
             raise ValueError(f"modulus {p} too large for dimension {d}: needs dim**2 * (p - 1)**3 < 2**63")
-        mul = np.asarray(self.mul, dtype=np.int64) % self.p
+        # Constants already in [0, p), as every preset's are, are kept as a
+        # read-only view, so building an algebra holds one d**3 array.
+        mul = np.asarray(self.mul, dtype=np.int64)
+        mul = mul % p if mul.size and (mul.min() < 0 or mul.max() >= p) else mul.view()
         one = as_vector(self.one, self.p)
         if mul.shape != (d, d, d):
             raise ValueError(f"structure constants must have shape ({d},{d},{d})")
@@ -68,6 +72,14 @@ class Algebra:
         one.setflags(write=False)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "one", one)
+
+    @functools.cached_property
+    def mul64(self) -> np.ndarray:
+        """The structure constants as float64, made once per algebra for its
+        float64 products (validation, ideals, products, the radical)."""
+        mul = self.mul.astype(np.float64)
+        mul.setflags(write=False)
+        return mul
 
     def multiply(self, x, y) -> np.ndarray:
         x = as_vector(x, self.p)
@@ -99,34 +111,117 @@ def validate_algebra(a: Algebra) -> list[str]:
     """Every violated associativity/identity constraint; empty iff valid.
 
     Associativity violations are reported in (i, j, k, l) order, the first
-    64 by name and the rest as a count."""
+    64 by name and the rest as a count, by the listing
+    ``_associativity_violations``. When 1 is a two-sided identity, a
+    certificate that there is nothing to list is tried first (Light's test;
+    A. H. Clifford and G. B. Preston, The Algebraic Theory of Semigroups I,
+    1961, section 1.2). S = {x : (xy)z = x(yz) for all y, z} is a subspace
+    that holds 1, and it is closed under products: for x1, x2 in S,
+    ((x1 x2) y) z = (x1 (x2 y)) z = x1 ((x2 y) z) = x1 (x2 (yz)) =
+    (x1 x2)(yz). So if every generator in G lies in S and the closure W of
+    {1} under left multiplication by G is all of A, then S = A.
+    ``_certified`` picks basis generators greedily and tests each with about
+    2 d**4 multiply-adds. It is tried only when the listing would cost more,
+    and it gives up, leaving the listing to run, when a generator is not in
+    S or the next one would cost more than the listing."""
     report: list[str] = []
     d = a.dim
     if d == 0:
         report.append("zero-dimensional algebra has no identity element")
         return report
-    count, first = _associativity_violations(a.mul, a.p)
-    for i, j, k in first:
-        report.append(
-            f"associativity fails at ({a.basis_name(i)}*{a.basis_name(j)})*{a.basis_name(k)}"
-        )
-    if count > 64:
-        report.append(f"... and {count - 64} more associativity violations")
-    lm = a.left_mult_matrix(a.one)
-    rm = a.right_mult_matrix(a.one)
     eye = np.eye(d, dtype=np.int64)
-    if (lm != eye).any():
+    left_unit = np.array_equal(a.left_mult_matrix(a.one), eye)
+    right_unit = np.array_equal(a.right_mult_matrix(a.one), eye)
+    support = _support(a.mul)
+    rows, cols1, cols2 = support
+    # A listing of at most one chunk is a handful of numpy calls: on the
+    # gallery it takes 30-50 us, a third of the least certificate.
+    entries = len(rows) * (len(cols1) + len(cols2))
+    if not (left_unit and right_unit and entries > VALIDATE_CHUNK and _certified(a, entries * d)):
+        count, first = _associativity_violations(a.mul, a.p, support)
+        for i, j, k in first:
+            report.append(
+                f"associativity fails at ({a.basis_name(i)}*{a.basis_name(j)})*{a.basis_name(k)}"
+            )
+        if count > 64:
+            report.append(f"... and {count - 64} more associativity violations")
+    if not left_unit:
         report.append("identity element fails to act as identity on the left")
-    if (rm != eye).any():
+    if not right_unit:
         report.append("identity element fails to act as identity on the right")
     return report
 
 
-def _associativity_violations(lam: np.ndarray, p: int) -> tuple[int, list[tuple[int, int, int]]]:
+def _certified(a: Algebra, budget: int) -> bool:
+    """Whether generators G with W = A, each in S (see ``validate_algebra``),
+    are found for at most budget multiply-adds, at 2 d**4 per generator.
+
+    A commutative algebra needs at least one generator and any other at
+    least two, so nothing is formed unless that many fit. The next
+    generator is the basis vector at the first free column of W, which W
+    does not hold; W is spun from 1 under the left multiplications by the
+    generators chosen so far."""
+    from .modules import spin_matrices  # modules imports this module
+
+    d, p = a.dim, a.p
+    cost = 2 * d**4
+    if cost >= budget:
+        return False
+    # Commutativity matters only when one generator fits and two do not.
+    least = 1 if budget > 2 * cost or np.array_equal(a.mul, a.mul.transpose(1, 0, 2)) else 2
+    gens: list[int] = []
+    span = Subspace.from_rows(a.one[None, :], p, ambient=d)
+    while not span.is_full:
+        if max(len(gens) + 1, least) * cost >= budget:
+            return False
+        i = span.complement_columns()[0]
+        if not _generator_associates(a, i):
+            return False
+        gens.append(i)
+        span = spin_matrices(np.transpose(a.mul[gens], (0, 2, 1)), [a.one], p, d)
+    return True
+
+
+def _generator_associates(a: Algebra, i: int) -> bool:
+    """Whether (b_i y) z = b_i (y z) for all basis elements y, z: lam[i] @
+    lam read as [y, (z, l)] against lam read as [(y, z), m] @ lam[i], the
+    same entries as [y, (z, l)]. Both are float64 products of 2 d**4
+    multiply-adds in all, exact since each sum has d terms below (p - 1)**2:
+    the Algebra bound d**2 * (p - 1)**3 < 2**63 with p < 2**20 keeps
+    d * (p - 1)**2 below 2**42, under 2**48 (and 2**53). So is the
+    difference of the sides, and its quotient by p is an integer exactly
+    when p divides it: otherwise the quotient lies at least 1/p from every
+    integer, and being below 2**42 / p it is rounded by less than that. A
+    chunk of rows y holds at most VALIDATE_CHUNK entries per side (d**2 when
+    one row is more), and the first differing chunk stops the test."""
+    d, p = a.dim, a.p
+    lam = a.mul64
+    left_op, right_op, g = lam.reshape(d, d * d), lam.reshape(d * d, d), lam[i]
+    step = max(1, VALIDATE_CHUNK // (d * d))
+    for y0 in range(0, d, step):
+        y1 = min(d, y0 + step)
+        diff = (g[y0:y1] @ left_op).ravel() - (right_op[y0 * d : y1 * d] @ g).ravel()
+        diff /= p
+        if (diff != np.floor(diff)).any():
+            return False
+    return True
+
+
+def _support(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The listing's nonzero rows (i, j), columns (k, l) and columns (i, l)
+    of ``_associativity_violations``, as flat indices."""
+    rows = np.flatnonzero(lam.any(axis=2))  # (i, j): b_i b_j != 0
+    cols1 = np.flatnonzero(lam.any(axis=0))  # (k, l): l-coordinate of some b_m b_k
+    cols2 = np.flatnonzero(lam.any(axis=1))  # (i, l): l-coordinate of some b_i b_m
+    return rows, cols1, cols2
+
+
+def _associativity_violations(lam: np.ndarray, p: int, support=None) -> tuple[int, list[tuple[int, int, int]]]:
     """Count of keys (i, j, k, l) where (b_i b_j) b_k and b_i (b_j b_k)
     differ in coordinate l, and the (i, j, k) of the first 64 in key order.
 
-    Only nonzero structure constants take part. With L[(i, j), m] =
+    Only nonzero structure constants take part (``_support``, passed in
+    when the caller has it). With L[(i, j), m] =
     lam[i, j, m] on its nonzero rows, the left side is L @ lam[m, (k, l)] and
     the right side L @ lam[i, m, l] read as [(j, k), (i, l)], each on its
     nonzero columns: nonzero rows x d x nonzero columns multiply-adds. The
@@ -144,9 +239,7 @@ def _associativity_violations(lam: np.ndarray, p: int) -> tuple[int, list[tuple[
     """
     d = lam.shape[0]
     d2, d3 = d * d, d * d * d
-    rows = np.flatnonzero(lam.any(axis=2))  # (i, j): b_i b_j != 0
-    cols1 = np.flatnonzero(lam.any(axis=0))  # (k, l): l-coordinate of some b_m b_k
-    cols2 = np.flatnonzero(lam.any(axis=1))  # (i, l): l-coordinate of some b_i b_m
+    rows, cols1, cols2 = _support(lam) if support is None else support
     col_i, col_l = np.divmod(cols2, d)
     pairs = lam.reshape(d2, d)[rows].astype(np.float64)
     left_cols = lam.reshape(d, d2)[:, cols1].astype(np.float64)
@@ -254,7 +347,7 @@ def is_ideal(a: Algebra, s: Subspace, sided: str = "two-sided") -> bool:
             return False
         return sided != "two-sided" or not s.reduce(np.einsum("tj,jik->itk", s.basis, a.mul) % p).any()
     c = s.check_matrix().astype(np.float64)
-    t = ((a.mul.reshape(d * d, d).astype(np.float64) @ c.T) % p).reshape(d, d, len(c))
+    t = ((a.mul64.reshape(d * d, d) @ c.T) % p).reshape(d, d, len(c))
     x = s.basis.astype(np.float64)
     if ((x @ t) % p).any():  # (d, dim, codim): C(e_j x)
         return False
@@ -263,20 +356,23 @@ def is_ideal(a: Algebra, s: Subspace, sided: str = "two-sided") -> bool:
 
 def product_space(a: Algebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of every product x*y with x in u and y in v, then one
-    elimination. Two float64 products, each reduced mod p: the smaller of U
-    and V contracted with lam first, as a (dim, d * d) matrix, then the
-    other side with that. Each sum has d terms below (p - 1)**2, and the
-    Algebra bound d**2 * (p - 1)**3 < 2**63 with p < 2**20 keeps
-    d * (p - 1)**2 below 2**42, so both are exact."""
+    elimination. Two float64 products, each reduced mod p by ``_mod``: the
+    smaller of U and V contracted with ``Algebra.mul64`` first, as a
+    (dim, d * d) matrix, then the other side with that. Each sum has d terms
+    below (p - 1)**2, and the Algebra bound d**2 * (p - 1)**3 < 2**63 with
+    p < 2**20 keeps d * (p - 1)**2 below 2**42, so both are exact."""
     d, p = a.dim, a.p
-    # The float64 copy of lam is freed before the second product.
+    # Each product is dropped once it is used, so beside lam at most two
+    # arrays of its size are alive.
     if u.dim <= v.dim:
-        ul = (u.basis.astype(np.float64) @ a.mul.reshape(d, d * d).astype(np.float64)) % p  # [r, (s, k)]: (u_r b_s)_k
-        rows = (v.basis.astype(np.float64) @ ul.reshape(u.dim, d, d)) % p
+        part = _mod(u.basis.astype(np.float64) @ a.mul64.reshape(d, d * d), p)  # [r, (s, k)]: (u_r b_s)_k
+        rows = v.basis.astype(np.float64) @ part.reshape(u.dim, d, d)
     else:
-        vl = np.matmul(v.basis.astype(np.float64), a.mul.astype(np.float64)) % p  # [s, r, k]: (b_s v_r)_k
-        rows = (u.basis.astype(np.float64) @ vl.reshape(d, v.dim * d)) % p
-    return Subspace.from_rows(rows.astype(np.int64).reshape(-1, d), p, ambient=d)
+        part = _mod(np.matmul(v.basis.astype(np.float64), a.mul64), p)  # [s, r, k]: (b_s v_r)_k
+        rows = u.basis.astype(np.float64) @ part.reshape(d, v.dim * d)
+    del part
+    rows = _mod(rows, p).astype(np.int64)
+    return Subspace.from_rows(rows.reshape(-1, d), p, ambient=d)
 
 
 def radical_powers(a: Algebra, rad: Subspace) -> list[Subspace]:

@@ -33,6 +33,15 @@ __all__ = [
 PRIME_BOUND = 2**20
 
 
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q for a float64 array of integers in [0, 2^52): where x is not
+    a multiple of q, x / q rounds to a float below the next integer, so the
+    floor is exact. This is several times faster than np.remainder."""
+    t = np.floor(x / q)
+    t *= q
+    return np.subtract(x, t, out=t)
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False

@@ -68,7 +68,7 @@ import numpy as np
 
 from .algebra import Algebra, Ideal, is_ideal, radical_powers
 from .gfpoly import charpoly, distinct_roots, factor, is_irreducible, poly_eval_matrix
-from .linalg import Subspace, kernel, projective_vectors, ranks, rref, solve
+from .linalg import Subspace, _mod, kernel, projective_vectors, ranks, rref, solve
 from .modules import ModuleRep, regular_module, spin, spin_matrices, sub_quotient
 
 __all__ = [
@@ -296,7 +296,7 @@ def _trace_chain(a: Algebra) -> Subspace:
     exact float64 integers; at level 0, for any p, the sums stay below
     d * p^2 < 2^48."""
     d, p = a.dim, a.p
-    lam = a.mul.astype(np.float64)
+    lam = a.mul64
     tau = _mod(np.einsum("tss->t", lam), p)  # Tr(L_(e_t))
     level = kernel(_mod(lam @ tau, p).T, p)
     step = max(1, TRACE_CHUNK // max(1, d * d))
@@ -318,15 +318,6 @@ def _trace_chain(a: Algebra) -> Subspace:
         level = Subspace(p, d, coords.basis @ level.basis % p, pivots)
         i += 1
     return level
-
-
-def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q for a float64 array of integers in [0, 2^52): where x is not
-    a multiple of q, x / q rounds to a float below the next integer, so the
-    floor is exact. This is several times faster than np.remainder."""
-    t = np.floor(x / q)
-    t *= q
-    return np.subtract(x, t, out=t)
 
 
 def _power_traces(mats: np.ndarray, p: int, i: int) -> np.ndarray:
@@ -464,7 +455,7 @@ def regular_length(a: Algebra, blocks: SemisimpleBlocks | None = None) -> int:
     k = len(blocks.classes)
     dims = np.array([dim for dim, _ in blocks.classes], dtype=np.int64)
     # [i, j]: eps_i b_j; each sum has d terms below (p - 1)^2, exact.
-    left = _mod(blocks.lifts.astype(np.float64) @ a.mul.reshape(d, d * d).astype(np.float64), p).reshape(k, d, d)
+    left = _mod(blocks.lifts.astype(np.float64) @ a.mul64.reshape(d, d * d), p).reshape(k, d, d)
     series = [Subspace.full(d, p), *radical_powers(a, blocks.radical.subspace), Subspace.zero(d, p)]
     length = 0
     for upper, lower in zip(series, series[1:]):

@@ -86,7 +86,7 @@ def check_module(m: ModuleRep) -> list[str]:
     act = m.action.astype(np.float64)
     right = act.transpose(1, 0, 2).reshape(n, d * n)  # row k, column (j, l): action[j, k, l]
     flat = act.reshape(d, n * n)
-    mul = a.mul.astype(np.float64)
+    mul = a.mul64
     step = max(1, CHECK_CHUNK_ENTRIES // (d * n * n))
     bad = []
     for i0 in range(0, d, step):

@@ -7,14 +7,15 @@ to return, is the oracle here: on the gallery shapes at p in
 form (p <= d, odd p included), and on random associative algebras (presets
 in a random dense basis, and their quotients by random ideals). The float64
 power traces are checked against int64 powers at the largest moduli the
-chain uses."""
+chain uses. The commands convert the structure constants to float64 once."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrtop import meataxe
+from irrtop import docs, meataxe
+from irrtop.cli import run
 from irrtop.algebra import ideal_generated, product_space, quotient_algebra, radical_powers
 from irrtop.linalg import Subspace
 from irrtop.meataxe import annihilator_meet, jacobson_radical
@@ -144,3 +145,38 @@ def test_an_ideal_that_is_not_nilpotent_breaks_the_power_check():
         radical_powers(a, j)
     with pytest.raises(AssertionError, match="J\\^2 has dimension 3, J\\^1 3"):
         radical_powers(a, Subspace.full(3, 3))
+
+
+class CountedConstants(np.ndarray):
+    """Structure constants that count their float64 conversions: those of
+    an array sharing memory with ``source``, the loaded algebra's constants
+    (reshapes and slices of them included)."""
+
+    source = None
+    conversions = 0
+
+    def astype(self, dtype, *args, **kwargs):
+        out = self.view(np.ndarray).astype(dtype, *args, **kwargs)
+        if out.dtype == np.float64 and np.may_share_memory(self, CountedConstants.source):
+            CountedConstants.conversions += 1
+        return out
+
+
+@pytest.mark.parametrize("command", ["radical", "chain-bound"])
+@pytest.mark.parametrize("expr", ["truncated_polynomial(20, 2)", "upper_triangular(5, 2)", "group_algebra(C6, 3)"])
+def test_the_commands_convert_the_constants_to_float64_once(expr, command, tmp_path, monkeypatch):
+    build = docs.build_algebra
+
+    def counted(doc):
+        a = build(doc)
+        CountedConstants.source = a.mul
+        object.__setattr__(a, "mul", a.mul.view(CountedConstants))
+        return a
+
+    monkeypatch.setattr(docs, "build_algebra", counted)
+    monkeypatch.setattr(CountedConstants, "conversions", 0)
+    path = tmp_path / "a.alg"
+    path.write_text(f"preset: {expr}\n")
+    code, _ = run([command, "--in", str(path)])
+    assert code == 0
+    assert CountedConstants.conversions == 1

@@ -1,13 +1,19 @@
 """The associativity check over nonzero structure constants against the
 dense einsum it replaced: the full report, message for message, on the
 gallery, on random dense algebras, on rebased presets whose constants are
-dense, on corruptions, and with the chunk size forced small. Also the memory
-bound at d = 64 and the dimension cap at every input boundary."""
+dense, on corruptions, and with the chunk size forced small. The
+generating-set certificate against the listing it skips, and which
+algebras take it. Also the time and memory bounds at d = 64 and at the
+cap, and the dimension cap at every input boundary."""
 
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irrtop import algebra
 from irrtop.algebra import ALGEBRA_DIM_CAP, Algebra, product_algebra, validate_algebra
@@ -140,6 +146,186 @@ def test_validate_at_d64_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: truncated_polynomial(ALGEBRA_DIM_CAP, 2), lambda: group_algebra(cyclic_group_table(143), 2)],
+    ids=["truncated_polynomial(144,2)", "group_algebra(C143,2)"],
+)
+def test_validate_at_the_cap_is_certified_within_one_second_and_100_mb(build):
+    """One generator certifies these dense commutative presets, so the d**5
+    listing never runs. The interpreter and numpy hold about 30 MB, so a
+    traced peak below 64 MiB, the constants included, keeps the whole
+    process under 100 MB."""
+    tracemalloc.start()
+    try:
+        a = build()
+        tracemalloc.reset_peak()
+        with mock.patch.object(algebra, "_associativity_violations", side_effect=AssertionError("listing entered")):
+            start = time.perf_counter()
+            assert validate_algebra(a) == []
+            elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: upper_triangular(16, 2), lambda: matrix_algebra(12, 2)],
+    ids=["upper_triangular(16,2)", "matrix_algebra(12,2)"],
+)
+def test_sparse_standard_bases_at_the_cap_form_no_certificate_product(build):
+    """Their listing costs less than the generators they would need."""
+    a = build()
+    with mock.patch.object(algebra, "_generator_associates", side_effect=AssertionError("certificate product formed")):
+        assert validate_algebra(a) == []
+
+
+def test_building_an_algebra_at_the_cap_holds_one_copy_of_the_constants():
+    tracemalloc.start()
+    try:
+        a = truncated_polynomial(ALGEBRA_DIM_CAP, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * a.mul.nbytes
+
+
+def test_constants_in_range_are_kept_and_others_are_reduced_into_a_copy():
+    m2 = matrix_algebra(2, 3)
+    lam = np.array(m2.mul)
+    kept = Algebra(3, 4, lam, m2.one)
+    assert np.shares_memory(kept.mul, lam) and not kept.mul.flags.writeable and lam.flags.writeable
+    shifted = lam - 3
+    reduced = Algebra(3, 4, shifted, m2.one)
+    assert not np.shares_memory(reduced.mul, shifted) and np.array_equal(reduced.mul, lam)
+    assert np.array_equal(shifted, lam - 3)
+
+
+# --- the certificate against the listing -------------------------------------
+
+
+def listing_report(a: Algebra) -> list[str]:
+    """The report with the certificate switched off: the listing alone."""
+    with mock.patch.object(algebra, "_certified", return_value=False):
+        return validate_algebra(a)
+
+
+GALLERY = gallery()
+REBASED = [rebase(a, 20 + s) for s, a in enumerate(GALLERY)] + [
+    rebase(group_algebra(cyclic_group_table(6), 5, name="group_algebra(C6,5)"), 40),
+    rebase(upper_triangular(3, 3), 41),
+    rebase(truncated_polynomial(5, 3), 42),
+]
+
+
+@st.composite
+def altered(draw):
+    """A gallery or rebased preset: as it is, with one structure constant
+    changed, or with one identity coordinate changed."""
+    a = draw(st.sampled_from(GALLERY + REBASED))
+    how = draw(st.sampled_from(["as is", "constant", "identity"]))
+    lam, one = np.array(a.mul), np.array(a.one)
+    if how == "constant":
+        at = tuple(draw(st.integers(0, a.dim - 1)) for _ in range(3))
+        lam[at] = (lam[at] + draw(st.integers(1, a.p - 1))) % a.p
+    elif how == "identity":
+        at = draw(st.integers(0, a.dim - 1))
+        one[at] = (one[at] + draw(st.integers(1, a.p - 1))) % a.p
+    return Algebra(a.p, a.dim, lam, one, name=f"{a.name} {how}", basis_names=a.basis_names)
+
+
+@settings(max_examples=300)
+@given(altered(), st.sampled_from([algebra.VALIDATE_CHUNK, 1, 40]))
+def test_the_certificate_and_the_listing_give_the_same_report(a, chunk):
+    with mock.patch.object(algebra, "VALIDATE_CHUNK", chunk):
+        assert validate_algebra(a) == listing_report(a) == validate_oracle(a)
+
+
+@settings(max_examples=200)
+@given(altered(), st.sampled_from([algebra.VALIDATE_CHUNK, 1, 40]))
+def test_the_generator_test_matches_the_dense_associator(a, chunk):
+    lam, p = a.mul, a.p
+    associator = (np.einsum("ijm,mkl->ijkl", lam, lam) - np.einsum("jkm,iml->ijkl", lam, lam)) % p
+    with mock.patch.object(algebra, "VALIDATE_CHUNK", chunk):
+        assert [algebra._generator_associates(a, i) for i in range(a.dim)] == [not x.any() for x in associator]
+
+
+def listing_cost(a: Algebra) -> int:
+    rows, cols1, cols2 = algebra._support(a.mul)
+    return len(rows) * a.dim * (len(cols1) + len(cols2))
+
+
+@settings(max_examples=100)
+@given(altered(), st.sampled_from([1, 40]))
+def test_the_certificate_never_costs_the_listing(a, chunk):
+    """No generator is tested once its 2 d**4 products would pass the
+    listing's cost, nor any when the two that a non-commutative algebra
+    needs would, so an algebra pays at most about twice what it did."""
+    generator = mock.patch.object(algebra, "_generator_associates", wraps=algebra._generator_associates)
+    with generator as tested, mock.patch.object(algebra, "VALIDATE_CHUNK", chunk):
+        validate_algebra(a)
+    least = 1 if np.array_equal(a.mul, a.mul.transpose(1, 0, 2)) else 2
+    assert not tested.called or max(tested.call_count, least) * 2 * a.dim**4 < listing_cost(a)
+
+
+def test_a_failed_identity_sends_the_algebra_to_the_listing():
+    """In k[x]/(x^8) with e_0 x changed to x + x^7, x still lies in S and
+    spins e_0 to the whole algebra, but e_0 is no longer a left identity
+    and not in S: (e_0 e_0) x != e_0 (e_0 x). Without a two-sided identity
+    the certificate would be fooled, so it is not tried, even with chunks
+    of one entry, where the listing's cost alone would try it."""
+    a = truncated_polynomial(8, 2)
+    lam = np.array(a.mul)
+    lam[0, 1, 7] ^= 1
+    b = Algebra(2, 8, lam, a.one, basis_names=a.basis_names)
+    assert algebra._certified(b, listing_cost(b))
+    with mock.patch.object(algebra, "VALIDATE_CHUNK", 1):
+        report = validate_algebra(b)
+    assert report == validate_oracle(b)
+    assert report[0] == "associativity fails at (1*1)*x" and report[-1].endswith("on the left")
+
+
+@pytest.mark.parametrize("a", GALLERY + REBASED, ids=lambda a: a.name)
+def test_a_listing_of_one_chunk_forms_no_certificate_product(a):
+    with mock.patch.object(algebra, "_generator_associates", side_effect=AssertionError("certificate product formed")):
+        assert validate_algebra(a) == []
+
+
+@pytest.mark.parametrize("a", [a for a in REBASED if a.dim > 4] + GALLERY[-4:-1], ids=lambda a: a.name)
+def test_the_certificate_decides_dense_and_group_algebras(a):
+    """With chunks of one entry every listing takes several. At d <= 4 a
+    dense listing costs at most the two generators a non-commutative
+    algebra needs; above that, these need at most three."""
+    listing = mock.patch.object(algebra, "_associativity_violations", side_effect=AssertionError("listing entered"))
+    with listing, mock.patch.object(algebra, "VALIDATE_CHUNK", 1):
+        assert validate_algebra(a) == []
+
+
+# C5 x C5 over GF(2): the first generator is g1 of the first block, whose
+# products meet no constant b_j b_k = ... b_l with j, k, l in the second.
+TWO_BLOCKS = product_algebra([group_algebra(cyclic_group_table(5), 2)] * 2)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([(j, k, l) for j in range(6, 10) for k in range(6, 10) for l in range(5, 10)]))
+def test_a_corruption_the_first_generator_misses_falls_back_to_the_listing(at):
+    lam = np.array(TWO_BLOCKS.mul)
+    lam[at] ^= 1
+    a = Algebra(2, 10, lam, TWO_BLOCKS.one, basis_names=TWO_BLOCKS.basis_names)
+    expected = validate_oracle(a)
+    assume(expected)
+    generator = mock.patch.object(algebra, "_generator_associates", wraps=algebra._generator_associates)
+    listing = mock.patch.object(algebra, "_associativity_violations", wraps=algebra._associativity_violations)
+    with generator as tested, listing as listed, mock.patch.object(algebra, "VALIDATE_CHUNK", 1):
+        assert validate_algebra(a) == expected
+    first = tested.call_args_list[0].args[1]
+    assert first < 5 and algebra._generator_associates(a, first)
+    listed.assert_called_once()
 
 
 # --- the dimension cap -------------------------------------------------------
